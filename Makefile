@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-self lint-budget test race bench bench-contend bench-json bench-smoke bench-gate schedcheck fuzz check
+.PHONY: all build vet lint lint-sarif lint-self lint-budget test test-procs race bench bench-contend bench-json bench-smoke bench-gate schedcheck fuzz check
 
 all: check
 
@@ -59,6 +59,19 @@ lint-budget:
 test:
 	$(GO) test ./...
 
+# Tier-1 three times in shuffled order under each GOMAXPROCS in
+# PROCS (default: one P, then every core). Surfaces tests that only
+# fail when kernels really fan out across the worker pool, and order
+# dependence on process-wide state such as nn.SetWorkers. A failing
+# quick.Check in internal/memory logs its seed; HARMONY_QUICK_SEED
+# replays it.
+PROCS ?= 1 $(shell nproc)
+test-procs: build
+	@for p in $(PROCS); do \
+		echo "GOMAXPROCS=$$p go test -count=3 -shuffle=on ./..."; \
+		GOMAXPROCS=$$p $(GO) test -count=3 -shuffle=on ./... || exit $$?; \
+	done
+
 # The exec executor, memory manager and collectives are the packages
 # with real concurrency or async error delivery; race-check them
 # specifically (the full suite under -race is much slower).
@@ -77,10 +90,10 @@ bench:
 bench-contend:
 	$(GO) test -run XXX -bench 'BenchmarkEnsureContended|BenchmarkVMEvictionZipf' -benchtime 10000x ./internal/exec/
 
-# Machine-readable swap-overlap report: sync vs static prefetch vs
-# adaptive prefetch per-step times, swap volumes, DMA overlap
-# fractions and window trajectories on the swap-bound configs.
-# Regenerates the checked-in BENCH_trainer.json.
+# Machine-readable swap-overlap report: sync vs prefetch per-step
+# times, swap volumes and DMA overlap fractions on the swap-bound
+# configs, the dp4-comm monolithic vs chunked row and the Ensure
+# contention curve. Regenerates the checked-in BENCH_trainer.json.
 bench-json:
 	$(GO) run ./cmd/benchtrainer -steps 4 -out BENCH_trainer.json
 
@@ -91,13 +104,12 @@ bench-smoke:
 
 # Performance regression gate: regenerate the swap-overlap report and
 # fail if (a) the swap-bound config's prefetch speedup dropped >20%
-# against the checked-in baseline, (b) the adaptive controller hides
-# >5 points less DMA overlap than the static window on the same row,
-# (c) the sharded Ensure hot path stopped scaling — ns/op growing
-# >15% from 16 to 64 devices means a cross-device lock is back on the
-# claim path — or (d) chunked collectives on the dp4-comm row lost
-# their edge: >10% slower than the monolithic rendezvous in the same
-# report, or comm overlap >5 points below the checked-in baseline.
+# against the checked-in baseline, (b) the sharded Ensure hot path
+# stopped scaling — ns/op growing >15% from 16 to 64 devices means a
+# cross-device lock is back on the claim path — or (c) chunked
+# collectives on the dp4-comm row lost their edge: >10% slower than
+# the monolithic rendezvous in the same report, or comm overlap >5
+# points below the checked-in baseline.
 # CI runs this on every push.
 bench-gate:
 	$(GO) run ./cmd/benchtrainer -steps 4 -out /tmp/BENCH_trainer.new.json

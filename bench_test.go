@@ -342,9 +342,8 @@ func swapBoundConfig(depth, devices int, p2p bool, link int64) TrainerConfig {
 }
 
 // timeSwapSteps measures mean wall time per Step (after one warm-up
-// step) and returns the trainer's data-movement counters plus, for
-// adaptive plans, the per-device window stats.
-func timeSwapSteps(b *testing.B, cfg TrainerConfig, steps int) (time.Duration, Stats, []AdaptWindowStats) {
+// step) and returns the trainer's data-movement counters.
+func timeSwapSteps(b *testing.B, cfg TrainerConfig, steps int) (time.Duration, Stats) {
 	b.Helper()
 	tr, err := NewTrainer(cfg)
 	if err != nil {
@@ -362,7 +361,7 @@ func timeSwapSteps(b *testing.B, cfg TrainerConfig, steps int) (time.Duration, S
 			b.Fatal(err)
 		}
 	}
-	return time.Since(start) / time.Duration(steps), tr.Stats(), tr.AdaptStats()
+	return time.Since(start) / time.Duration(steps), tr.Stats()
 }
 
 // swapBoundVariants is the prefetch-on/off × p2p-on/off bench matrix.
@@ -389,26 +388,21 @@ func BenchmarkTrainerStepSwapBound(b *testing.B) {
 	const measured = 4
 	for _, v := range swapBoundVariants {
 		for _, sub := range []struct {
-			suffix   string
-			depth    int
-			adaptive bool
+			suffix string
+			depth  int
 		}{
-			{"sync", -1, false},
-			{"prefetch", 4, false},
-			{"adaptive", 4, true},
+			{"sync", -1},
+			{"prefetch", 4},
 		} {
 			b.Run(v.name+"/"+sub.suffix, func(b *testing.B) {
 				cfg := swapBoundConfig(sub.depth, v.devices, v.p2p, v.link)
-				cfg.AdaptivePrefetch = sub.adaptive
 				var speedup, swappedMB, overlap float64
-				var windows []AdaptWindowStats
 				if sub.depth > 0 {
-					syncT, _, _ := timeSwapSteps(b, swapBoundConfig(-1, v.devices, v.p2p, v.link), measured)
-					pfT, st, ws := timeSwapSteps(b, cfg, measured)
+					syncT, _ := timeSwapSteps(b, swapBoundConfig(-1, v.devices, v.p2p, v.link), measured)
+					pfT, st := timeSwapSteps(b, cfg, measured)
 					speedup = float64(syncT) / float64(pfT)
 					swappedMB = float64(st.SwapInBytes+st.SwapOutBytes) / (1 << 20)
 					overlap = float64(st.AsyncDMANanos) / float64(pfT.Nanoseconds()*int64(measured))
-					windows = ws
 				}
 				tr, err := NewTrainer(cfg)
 				if err != nil {
@@ -427,11 +421,6 @@ func BenchmarkTrainerStepSwapBound(b *testing.B) {
 					b.ReportMetric(speedup, "speedup-vs-sync")
 					b.ReportMetric(swappedMB, "MB-swapped")
 					b.ReportMetric(overlap, "overlap-frac")
-				}
-				for _, ws := range windows { // adaptive rows only
-					b.ReportMetric(float64(ws.WindowMin), fmt.Sprintf("dev%d-window-min", ws.Dev))
-					b.ReportMetric(float64(ws.WindowMax), fmt.Sprintf("dev%d-window-max", ws.Dev))
-					b.ReportMetric(float64(ws.Resizes), fmt.Sprintf("dev%d-resizes", ws.Dev))
 				}
 			})
 		}

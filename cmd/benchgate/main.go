@@ -1,15 +1,10 @@
 // Command benchgate compares two benchtrainer reports and fails the
-// build if a perf invariant regressed beyond tolerance. It guards two
+// build if a perf invariant regressed beyond tolerance. It guards three
 // properties:
 //
 //   - the swap-overlap win: a >20% drop in speedup_vs_sync on the
 //     swap-bound row (dp1-hostlink) fails before a prefetch regression
 //     can merge;
-//   - the adaptive controller's overlap: on the same row, the fresh
-//     report's adaptive overlap_frac must stay within
-//     -max-adaptive-overlap-drop (absolute) of the static prefetch
-//     overlap_frac from the same run — a controller that tunes itself
-//     into hiding less DMA than the fixed window cannot merge;
 //   - contention scaling of the sharded hot path: the 64-device
 //     Ensure ns/op in the fresh report must stay within -max-scale-degrade
 //     of the 16-device point (flat curve = no cross-device lock), and
@@ -35,18 +30,10 @@ import (
 	"os"
 )
 
-// overlap is the slice of a run the gate cares about.
-type overlap struct {
-	OverlapFrac float64 `json:"overlap_frac"`
-}
-
 type report struct {
 	Rows []struct {
-		Name            string  `json:"name"`
-		Speedup         float64 `json:"speedup_vs_sync"`
-		AdaptiveSpeedup float64 `json:"adaptive_speedup_vs_sync"`
-		Prefetch        overlap `json:"prefetch"`
-		Adaptive        overlap `json:"adaptive"`
+		Name    string  `json:"name"`
+		Speedup float64 `json:"speedup_vs_sync"`
 	} `json:"rows"`
 	Comm *struct {
 		Monolithic struct {
@@ -121,7 +108,6 @@ func main() {
 		scaleTo     = flag.Int("scale-to", 64, "contention scaling guarded device count")
 		maxScale    = flag.Float64("max-scale-degrade", 0.15, "maximum allowed ns/op growth from -scale-from to -scale-to devices")
 		maxContend  = flag.Float64("max-contend-regress", 0.50, "maximum allowed cross-report ns/op growth at -scale-to devices")
-		maxAdDrop   = flag.Float64("max-adaptive-overlap-drop", 0.05, "maximum allowed absolute overlap_frac shortfall of the adaptive run vs the static prefetch run on -row")
 		maxCommDrop = flag.Float64("max-comm-overlap-drop", 0.05, "maximum allowed absolute comm_overlap_frac drop on the dp4-comm chunked run vs baseline")
 		maxCommSlow = flag.Float64("max-comm-slowdown", 0.10, "maximum allowed fractional ns_per_step excess of the chunked dp4-comm run over the monolithic run from the same report")
 	)
@@ -152,28 +138,6 @@ func main() {
 		*row, base, cur, 100*drop, 100**maxRegress)
 	if drop > *maxRegress {
 		fail("FAIL: %s regressed %.1f%% > %.0f%%", *row, 100*drop, 100**maxRegress)
-	}
-
-	// Adaptive-overlap check: both numbers come from the same fresh
-	// run on the same machine, so the tolerance is a tight absolute
-	// margin. Reports predating the adaptive controller carry no
-	// adaptive data; skip with a note so the gate can bootstrap.
-	for _, rw := range newRep.Rows {
-		if rw.Name != *row {
-			continue
-		}
-		if rw.AdaptiveSpeedup == 0 {
-			fmt.Printf("benchgate: note: %s has no adaptive data for row %s; skipping adaptive-overlap check\n", *newPath, *row)
-			break
-		}
-		short := rw.Prefetch.OverlapFrac - rw.Adaptive.OverlapFrac
-		fmt.Printf("benchgate: %s overlap_frac static %.3f, adaptive %.3f (shortfall %.3f, limit %.3f)\n",
-			*row, rw.Prefetch.OverlapFrac, rw.Adaptive.OverlapFrac, short, *maxAdDrop)
-		if short > *maxAdDrop {
-			fail("FAIL: adaptive prefetch hides %.3f less DMA overlap than the static window on %s (> %.3f); the controller is mistuned",
-				short, *row, *maxAdDrop)
-		}
-		break
 	}
 
 	// Chunked-collective checks. The speedup comparison pairs two runs

@@ -62,23 +62,13 @@ type run struct {
 	// fraction of the run during which a DMA engine was moving data
 	// off the critical path.
 	OverlapFrac float64 `json:"overlap_frac"`
-	// Window stats, adaptive runs only: the smallest and largest
-	// per-device lookahead the controller visited and the total
-	// resize decisions across devices.
-	WindowMin int `json:"window_min,omitempty"`
-	WindowMax int `json:"window_max,omitempty"`
-	Resizes   int `json:"resizes,omitempty"`
 }
 
 type row struct {
 	variant
-	Sync     run `json:"sync"`
-	Prefetch run `json:"prefetch"`
-	// Adaptive is the same starting window as Prefetch with the
-	// online window/budget controller armed.
-	Adaptive              run     `json:"adaptive"`
-	SpeedupVsSync         float64 `json:"speedup_vs_sync"`
-	AdaptiveSpeedupVsSync float64 `json:"adaptive_speedup_vs_sync"`
+	Sync          run     `json:"sync"`
+	Prefetch      run     `json:"prefetch"`
+	SpeedupVsSync float64 `json:"speedup_vs_sync"`
 }
 
 type report struct {
@@ -187,7 +177,7 @@ func measureContention(devs, ops int) (contentionRow, error) {
 	return contentionRow{Devices: devs, NsPerOp: wall.Nanoseconds() / int64(perG*devs)}, nil
 }
 
-func config(v variant, depth int, adaptive bool) harmony.TrainerConfig {
+func config(v variant, depth int) harmony.TrainerConfig {
 	tg := &harmony.Toggles{}
 	if !v.P2P {
 		tg.P2P = harmony.Bool(false)
@@ -197,23 +187,22 @@ func config(v variant, depth int, adaptive bool) harmony.TrainerConfig {
 		mode, widths = harmony.HarmonyPP, []int{256, 640, 640, 640, 10}
 	}
 	return harmony.TrainerConfig{
-		Widths:           widths,
-		Mode:             mode,
-		Devices:          v.Devices,
-		DeviceBytes:      4 << 20,
-		BatchSize:        8,
-		Seed:             1,
-		Toggles:          tg,
-		PrefetchDepth:    depth,
-		AdaptivePrefetch: adaptive,
-		LinkBytesPerSec:  v.LinkBPS,
+		Widths:          widths,
+		Mode:            mode,
+		Devices:         v.Devices,
+		DeviceBytes:     4 << 20,
+		BatchSize:       8,
+		Seed:            1,
+		Toggles:         tg,
+		PrefetchDepth:   depth,
+		LinkBytesPerSec: v.LinkBPS,
 	}
 }
 
 // measure trains steps iterations (after one untimed warm-up step)
 // and returns the per-step wall time and movement counters.
-func measure(v variant, depth, steps int, adaptive bool) (run, error) {
-	cfg := config(v, depth, adaptive)
+func measure(v variant, depth, steps int) (run, error) {
+	cfg := config(v, depth)
 	tr, err := harmony.NewTrainer(cfg)
 	if err != nil {
 		return run{}, err
@@ -232,7 +221,7 @@ func measure(v variant, depth, steps int, adaptive bool) (run, error) {
 	}
 	wall := time.Since(start)
 	st := tr.Stats()
-	r := run{
+	return run{
 		PrefetchDepth:  depth,
 		NsPerStep:      wall.Nanoseconds() / int64(steps),
 		SwapInBytes:    st.SwapInBytes,
@@ -241,17 +230,7 @@ func measure(v variant, depth, steps int, adaptive bool) (run, error) {
 		PrefetchHits:   st.PrefetchHits,
 		CleanAheads:    st.CleanAheads,
 		OverlapFrac:    float64(st.AsyncDMANanos) / float64(wall.Nanoseconds()),
-	}
-	for i, ws := range tr.AdaptStats() {
-		if i == 0 || ws.WindowMin < r.WindowMin {
-			r.WindowMin = ws.WindowMin
-		}
-		if ws.WindowMax > r.WindowMax {
-			r.WindowMax = ws.WindowMax
-		}
-		r.Resizes += ws.Resizes
-	}
-	return r, nil
+	}, nil
 }
 
 // commWidths keeps the comm-bound row's reduce/compute ratio high:
@@ -337,30 +316,22 @@ func main() {
 		Widths2: []int{256, 640, 640, 640, 10},
 	}
 	for _, v := range variants {
-		sync, err := measure(v, -1, *steps, false)
+		sync, err := measure(v, -1, *steps)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtrainer: %s/sync: %v\n", v.Name, err)
 			os.Exit(1)
 		}
-		pf, err := measure(v, *depth, *steps, false)
+		pf, err := measure(v, *depth, *steps)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtrainer: %s/prefetch: %v\n", v.Name, err)
 			os.Exit(1)
 		}
-		ad, err := measure(v, *depth, *steps, true)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtrainer: %s/adaptive: %v\n", v.Name, err)
-			os.Exit(1)
-		}
-		r := row{variant: v, Sync: sync, Prefetch: pf, Adaptive: ad,
-			SpeedupVsSync:         float64(sync.NsPerStep) / float64(pf.NsPerStep),
-			AdaptiveSpeedupVsSync: float64(sync.NsPerStep) / float64(ad.NsPerStep)}
+		r := row{variant: v, Sync: sync, Prefetch: pf,
+			SpeedupVsSync: float64(sync.NsPerStep) / float64(pf.NsPerStep)}
 		rep.Rows = append(rep.Rows, r)
-		fmt.Fprintf(os.Stderr, "%-16s sync %6.1fms/step  prefetch %6.1fms/step (%.2fx, overlap %2.0f%%)  adaptive %6.1fms/step (%.2fx, overlap %2.0f%%, window %d..%d, %d resizes)\n",
+		fmt.Fprintf(os.Stderr, "%-16s sync %6.1fms/step  prefetch %6.1fms/step (%.2fx, overlap %2.0f%%)\n",
 			v.Name, float64(sync.NsPerStep)/1e6,
-			float64(pf.NsPerStep)/1e6, r.SpeedupVsSync, 100*pf.OverlapFrac,
-			float64(ad.NsPerStep)/1e6, r.AdaptiveSpeedupVsSync, 100*ad.OverlapFrac,
-			ad.WindowMin, ad.WindowMax, ad.Resizes)
+			float64(pf.NsPerStep)/1e6, r.SpeedupVsSync, 100*pf.OverlapFrac)
 	}
 
 	rep.WidthsComm = commWidths

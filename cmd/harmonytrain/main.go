@@ -47,7 +47,6 @@ func main() {
 		maxRetry  = flag.Int("max-retries", 0, "retries per faulted op (0 = default 3, negative disables)")
 		recov     = flag.Bool("recover", false, "roll back and resume past fatal device faults")
 		prefetch  = flag.Int("prefetch-depth", 0, "async prefetch lookahead (0 = mode default, negative disables)")
-		adaptive  = flag.Bool("adaptive-prefetch", false, "retune each device's prefetch window and byte budget online (implies prefetch; decisions are step-keyed and bit-exact)")
 		retune    = flag.String("retune", "", `mid-run plan retune, "step=N,microbatches=M": before step N, reshape to M microbatches (schedcheck preflight; a rejection prints the counterexample and keeps the current plan)`)
 		linkBW    = flag.Int64("link-bw", 0, "modeled host-link bytes/sec charged to every swap/p2p copy (0 = memcpy cost only)")
 		swapTrace = flag.Bool("swap-trace", false, "print a compute/DMA-lane Gantt of the final step (shows swap-compute overlap)")
@@ -74,7 +73,7 @@ func main() {
 		Mode: mode, Devices: *devices, BatchSize: *batch,
 		Adam: *adam, Seed: *seed,
 		FaultSpec: *faultSpec, MaxRetries: *maxRetry, Recover: *recov,
-		PrefetchDepth: *prefetch, AdaptivePrefetch: *adaptive,
+		PrefetchDepth:   *prefetch,
 		LinkBytesPerSec: *linkBW,
 		NoVerify:        !*verify,
 		CommChunks:      *commChunk,
@@ -216,13 +215,6 @@ func main() {
 	if cs := tr.CommStats(); cs.ChunksReduced > 0 {
 		fmt.Printf("chunked collectives: %d chunk reductions, %.1f MB gradients reduced\n",
 			cs.ChunksReduced, float64(cs.BytesReduced)/(1<<20))
-	}
-	if stats := tr.AdaptStats(); len(stats) > 0 {
-		fmt.Printf("adaptive prefetch: %d controller decisions;", len(tr.AdaptLog()))
-		for _, ws := range stats {
-			fmt.Printf(" dev%d window %d..%d (%d resizes)", ws.Dev, ws.WindowMin, ws.WindowMax, ws.Resizes)
-		}
-		fmt.Println()
 	}
 	if stepTL != nil && len(stepTL.Events) > 0 {
 		fmt.Print("final-step compute/DMA lanes:\n", stepTL.Gantt(100))

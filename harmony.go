@@ -97,9 +97,6 @@ type Toggles struct {
 	// WaveInterleave runs pipeline waves in 1F1B order, bounding
 	// in-flight stash per stage (for stash-heavy workloads).
 	WaveInterleave *bool
-	// AdaptivePrefetch turns the fixed prefetch lookahead into an
-	// online per-device controller (see TrainerConfig.AdaptivePrefetch).
-	AdaptivePrefetch *bool
 }
 
 func (t *Toggles) apply(o sched.Options) sched.Options {
@@ -120,7 +117,6 @@ func (t *Toggles) apply(o sched.Options) sched.Options {
 	set(&o.DeferBlockedUpdates, t.DeferBlockedUpdates)
 	set(&o.LookaheadEviction, t.LookaheadEviction)
 	set(&o.WaveInterleave, t.WaveInterleave)
-	set(&o.AdaptivePrefetch, t.AdaptivePrefetch)
 	if t.GroupSize > 0 {
 		o.GroupSize = t.GroupSize
 	}

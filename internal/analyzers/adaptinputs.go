@@ -7,17 +7,19 @@ import (
 	"strings"
 )
 
-// AdaptInputs guards the adaptive-prefetch / online-retune determinism
-// contract (DESIGN.md §13): every adaptation decision must be a pure
-// function of step-counter-keyed state, so two seeded runs emit
-// identical window-resize decision logs and retunes replay from the
-// logged profile alone. The determinism analyzer already bans these
-// constructs across the whole deterministic core, but internal/tuner
-// sits outside that core — it measures wall time on purpose — and
-// there the line runs through individual functions: measurement may
-// read the clock, decisions may not. This pass draws that line
-// lexically: inside any function whose name says it adapts or retunes
-// (adaptStep, adaptTick, armAdaptive, retuneMoves, Retune, ...), it
+// AdaptInputs guards the online-retune determinism contract
+// (DESIGN.md §13): every retune decision must be a pure function of
+// the logged profile and the current plan, so a retune replays from
+// its inputs alone. The decision functions it protects are
+// tuner.retuneMoves, which ranks candidate plans from a measured
+// profile, and exec.Trainer.Retune, which builds, preflights and
+// adopts one. The determinism analyzer already bans these constructs
+// across the whole deterministic core, but internal/tuner sits
+// outside that core — it measures wall time on purpose — and there
+// the line runs through individual functions: measurement may read
+// the clock, decisions may not. This pass draws that line lexically:
+// inside any function whose name says it adapts or retunes
+// (retuneMoves, Retune, and any future adapt*/retune* decision), it
 // forbids
 //
 //   - wall-clock reads (time.Now, time.Since, time.Until): a decision
@@ -25,12 +27,10 @@ import (
 //   - math/rand package-level state: interleaving-ordered and
 //     unseedable per component;
 //   - map iteration: Go randomizes range order per run, so any
-//     decision folded over a ranged map is run-dependent (the
-//     prefetcher's per-step `seen` set is lookup/insert only for
-//     exactly this reason).
+//     decision folded over a ranged map is run-dependent.
 //
-// Scope: internal/exec and internal/tuner, where the controller and
-// the retuner live.
+// Scope: internal/exec and internal/tuner, where the retune decisions
+// live.
 var AdaptInputs = &Analyzer{
 	Name: "adaptinputs",
 	Doc: "forbid wall-clock reads, math/rand global state and map iteration " +
@@ -59,9 +59,9 @@ func inAdaptScope(path string) bool {
 }
 
 // adaptFuncRe matches the names of functions that take adaptation or
-// retune decisions. Anything the controller or retuner exports or
-// calls for a decision is named to match; helpers that must stay
-// exempt (profile measurement, stats accessors) must not be.
+// retune decisions. Anything the retuner exports or calls for a
+// decision is named to match; helpers that must stay exempt (profile
+// measurement, stats accessors) must not be.
 var adaptFuncRe = regexp.MustCompile(`(?i)(adapt|retune)`)
 
 func runAdaptInputs(pass *Pass) error {

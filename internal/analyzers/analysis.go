@@ -25,12 +25,13 @@
 //     surface dropped inside internal/exec (bare-statement calls,
 //     blank assignments, go/defer drops).
 //   - adaptinputs: wall-clock reads, math/rand global state and map
-//     iteration lexically inside adaptation/retune decision functions
-//     (names matching adapt|retune) in internal/exec and
-//     internal/tuner — the tuner may measure wall time, but its
-//     decisions must replay from logged inputs alone. The
-//     interprocedural upgrade also traces tainted values through call
-//     chains into the deterministic core and adaptation decisions.
+//     iteration lexically inside retune decision functions (names
+//     matching adapt|retune: tuner.retuneMoves and
+//     exec.Trainer.Retune) in internal/exec and internal/tuner — the
+//     tuner may measure wall time, but its decisions must replay from
+//     logged inputs alone. The interprocedural upgrade also traces
+//     tainted values through call chains into the deterministic core
+//     and retune decisions.
 //   - lockorder: the global lock-acquisition graph built from
 //     interprocedural summaries — cycles, recursive acquisitions, and
 //     same-class shard nesting outside the documented ascending-device

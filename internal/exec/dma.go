@@ -198,34 +198,12 @@ func (vm *VM) StartEngine(budgetBytes int64) {
 		budgetBytes = vm.capacity / 2
 	}
 	vm.budget = budgetBytes
-	for _, sh := range vm.shards {
-		sh.budget = budgetBytes // pre-engOn: nothing reads shard budgets yet
-	}
 	vm.started = true
 	vm.wg.Add(len(vm.shards))
 	for d := range vm.shards {
 		go vm.dmaWorker(d)
 	}
-	vm.engOn.Store(true) // publishes budgets to EnsureAsync
-}
-
-// SetPrefetchBudget retunes dev's prefetch byte budget. The adaptive
-// controller calls it between steps (after WaitIdle), but it is safe
-// at any time: the value is clamped to (0, engine cap] and read under
-// the shard lock, so in-flight prefetches keep their accounting. A
-// shrink does not cancel bytes already in flight; it only gates new
-// EnsureAsync admissions.
-func (vm *VM) SetPrefetchBudget(dev int, bytes int64) {
-	if !vm.engOn.Load() || dev < 0 || dev >= len(vm.shards) {
-		return
-	}
-	if bytes <= 0 || bytes > vm.budget {
-		bytes = vm.budget
-	}
-	sh := vm.shards[dev]
-	sh.mu.Lock()
-	sh.budget = bytes
-	sh.mu.Unlock()
+	vm.engOn.Store(true) // publishes budget to EnsureAsync
 }
 
 // Close stops the DMA workers after draining queued requests. Safe to
@@ -300,12 +278,12 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	}
 	sh := vm.shards[dev]
 	if w.Resident() {
-		if b.devID == dev {
+		if b.device() == dev {
 			// Already where the upcoming task needs it: bump it so
 			// eviction prefers colder pages. Re-validate under the shard
 			// lock — only idle-resident-here buffers are linked here.
 			sh.mu.Lock()
-			if w2 := b.load(); w2.State() == claimword.Idle && w2.Resident() && b.devID == dev {
+			if w2 := b.load(); w2.State() == claimword.Idle && w2.Resident() && b.device() == dev {
 				vm.touch(sh, b)
 			}
 			sh.mu.Unlock()
@@ -321,7 +299,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	// The budget counts prefetched bytes until their first demand hit
 	// (not merely while in flight), bounding how much device memory
 	// prefetch may occupy at the expense of the present working set.
-	if sh.pfBytes+bytes > sh.budget {
+	if sh.pfBytes+bytes > vm.budget {
 		return
 	}
 	// Prefetch fills spare capacity only. Evicting on behalf of the
@@ -337,7 +315,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 		return // raced with a demand path; it will do the work
 	}
 	b.dev = make([]float32, b.floats())
-	b.devID = dev
+	b.setDevice(dev)
 	b.dirty.Store(false)
 	vm.commit(b) // async: residency + prefetched mark in one CAS
 	sh.used += bytes

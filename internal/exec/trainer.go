@@ -79,17 +79,6 @@ type TrainerConfig struct {
 	// cost only their memcpy time.
 	LinkBytesPerSec int64
 
-	// AdaptivePrefetch retunes each device's prefetch window and byte
-	// budget online between iterations (DESIGN.md §13), from
-	// deterministic per-step coverage counters keyed to the step
-	// counter — never wall time — so adaptive runs stay bit-identical
-	// and emit identical decision logs across repeats and executors.
-	// Shorthand for Options.AdaptivePrefetch; implies prefetch.
-	// PrefetchDepth is the starting window, clamped to the plan's
-	// [WindowMin, WindowMax]. The serial reference path still never
-	// prefetches, so adaptive+Serial is the static serial baseline.
-	AdaptivePrefetch bool
-
 	// CommChunks splits each gradient AllReduce into that many
 	// plan-time chunk rendezvous, each reduced by a deterministically
 	// assigned device worker so reduce work spreads across workers and
@@ -167,13 +156,6 @@ type Trainer struct {
 	pf  *prefetcher
 	rec *runRecorder
 
-	// Adaptive-prefetch observability: the full decision log (kept
-	// across retunes and recoveries) and per-virtual-device window
-	// extremes/resize counts (reset when a retune re-arms the
-	// controllers). Written only at step boundaries.
-	adaptLog   []AdaptDecision
-	adaptStats []AdaptWindowStats
-
 	// Recovery state. Virtual devices are schedule constructs; devMap
 	// binds virtual device d to the physical device devMap[d] whose
 	// memory it uses. Initially the identity map; when a physical
@@ -238,9 +220,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		opts = *cfg.Options
 		opts.Mode = cfg.Mode
 	}
-	if cfg.AdaptivePrefetch {
-		opts.AdaptivePrefetch = true
-	}
 	if cfg.CommChunks > 0 {
 		opts.CommChunks = cfg.CommChunks
 	}
@@ -256,7 +235,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		return nil, err
 	}
 	if !cfg.NoVerify {
-		if err := schedcheck.Check(s, planTopology(cfg, s)).Err(); err != nil {
+		if err := schedcheck.Check(s, planTopology(cfg)).Err(); err != nil {
 			return nil, fmt.Errorf("exec: plan rejected by preflight verification (-verify=false or NoVerify to skip):\n%w", err)
 		}
 	}
@@ -281,9 +260,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	}
 	if d := tr.prefetchDepth(); d > 0 {
 		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
-		if s.Opts.AdaptivePrefetch {
-			tr.armAdaptive()
-		}
 	}
 	tr.configureVM()
 	// Persistent state: identical weights in every replica, zero
@@ -334,95 +310,12 @@ func (tr *Trainer) configureVM() {
 	}
 	if tr.pf != nil {
 		tr.vm.StartEngine(0) // default budget: half the device capacity
-		tr.pf.applyBudgets() // adaptive: align shard budgets with the controllers
 	}
 }
 
-// planTopology is the schedcheck preflight topology for a plan.
-// Adaptive plans verify residency against the maximum admissible
-// prefetch budget — the engine cap the controller can grow to — not
-// the tuned starting point, so no reachable controller state can
-// exceed what was verified.
-func planTopology(cfg TrainerConfig, s *sched.Schedule) schedcheck.Topology {
-	topo := schedcheck.Topology{Devices: cfg.Devices, DeviceBytes: cfg.DeviceBytes}
-	if s.Opts.AdaptivePrefetch {
-		topo.AdaptiveBudgetMaxBytes = cfg.DeviceBytes / 2
-	}
-	return topo
-}
-
-// armAdaptive attaches one controller per virtual device to the
-// prefetcher, starting every window at the static depth and every
-// budget at the engine cap (so an adaptive run's first step matches a
-// static run's exactly). Called at construction and again by Retune
-// when the adopted plan keeps adaptation on.
-func (tr *Trainer) armAdaptive() {
-	o := tr.s.Opts
-	bMax := tr.cfg.DeviceBytes / 2
-	tr.pf.devs = make([]*pfDev, tr.s.NGPUs)
-	tr.adaptStats = make([]AdaptWindowStats, tr.s.NGPUs)
-	for d := range tr.pf.devs {
-		ctl := newAdaptController(tr.pf.depth, o.WindowMin, o.WindowMax, bMax)
-		tr.pf.devs[d] = &pfDev{ctl: ctl, seen: make(map[int]bool)}
-		tr.adaptStats[d] = AdaptWindowStats{Dev: d, WindowMin: ctl.window, WindowMax: ctl.window}
-	}
-}
-
-// AdaptWindowStats summarizes one virtual device's adaptive window
-// trajectory: the extreme window sizes observed and how many resize
-// decisions the controller took.
-type AdaptWindowStats struct {
-	Dev                  int
-	WindowMin, WindowMax int
-	Resizes              int
-}
-
-// AdaptLog returns a copy of the adaptive-prefetch decision log. Two
-// seeded runs of the same config produce deep-equal logs — the
-// decision inputs are program-order coverage counters keyed to the
-// step counter, never timing (DESIGN.md §13).
-func (tr *Trainer) AdaptLog() []AdaptDecision {
-	return append([]AdaptDecision(nil), tr.adaptLog...)
-}
-
-// AdaptStats returns per-virtual-device window extremes and resize
-// counts; nil when the plan is not adaptive.
-func (tr *Trainer) AdaptStats() []AdaptWindowStats {
-	return append([]AdaptWindowStats(nil), tr.adaptStats...)
-}
-
-// adaptTick runs the per-device controllers on a completed step's
-// signals: it folds the decisions into the log and window stats and
-// stamps them on the trace's adapt lane. Called only on runStep's
-// success path, after WaitIdle has drained the DMA engine and the
-// step's device workers have joined — the quiescent point where the
-// per-device signals are safely readable and budget retunes cannot
-// race in-flight admissions.
-func (tr *Trainer) adaptTick() {
-	if tr.pf == nil {
-		return
-	}
-	decs := tr.pf.endStep(tr.step)
-	if len(decs) == 0 {
-		return
-	}
-	for _, dec := range decs {
-		if dec.What == "window" {
-			st := &tr.adaptStats[dec.Dev]
-			st.Resizes++
-			if w := int(dec.To); w < st.WindowMin {
-				st.WindowMin = w
-			}
-			if w := int(dec.To); w > st.WindowMax {
-				st.WindowMax = w
-			}
-		}
-		if tr.rec != nil {
-			now := tr.vm.clk.Now()
-			tr.rec.add(tr.pdev(dec.Dev), trace.Adapt, dec.String(), now, now)
-		}
-	}
-	tr.adaptLog = append(tr.adaptLog, decs...)
+// planTopology is the schedcheck preflight topology for a config.
+func planTopology(cfg TrainerConfig) schedcheck.Topology {
+	return schedcheck.Topology{Devices: cfg.Devices, DeviceBytes: cfg.DeviceBytes}
 }
 
 // maxRetries resolves the configured retry bound: 0 means the default
@@ -611,12 +504,6 @@ func (tr *Trainer) runStep(inputs [][][]float32, labels [][][]int) (float32, err
 	}
 	tr.step++
 
-	if tr.pf != nil {
-		// Reset the adaptive coverage counters — a failed attempt's
-		// partial signals are discarded here, so recovery re-runs
-		// never skew a controller decision.
-		tr.pf.beginStep()
-	}
 	ex := newExecutor(tr, labels)
 	var err error
 	if tr.cfg.Serial {
@@ -634,7 +521,6 @@ func (tr *Trainer) runStep(inputs [][][]float32, labels [][][]int) (float32, err
 	if err != nil {
 		return 0, err
 	}
-	tr.adaptTick()
 
 	// Reduce losses in task-ID order regardless of which executor ran
 	// (and in which interleaving), so both report bit-identical means.
@@ -911,7 +797,7 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 	cfg2 := tr.cfg
 	cfg2.MicrobatchSize, cfg2.Microbatches = mbs, mbc
 	if !tr.cfg.NoVerify {
-		if verr := schedcheck.Check(s2, planTopology(cfg2, s2)).Err(); verr != nil {
+		if verr := schedcheck.Check(s2, planTopology(cfg2)).Err(); verr != nil {
 			return fmt.Errorf("exec: retune rejected by preflight verification (plan unchanged):\n%w", verr)
 		}
 	}
@@ -949,12 +835,9 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 		tr.statsBase = tr.statsBase.add(tr.vm.StatsSnapshot())
 		tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, s2.MemPolicy)
 	}
-	tr.pf, tr.adaptStats = nil, nil
+	tr.pf = nil
 	if d := tr.prefetchDepth(); d > 0 {
 		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
-		if s2.Opts.AdaptivePrefetch {
-			tr.armAdaptive()
-		}
 	}
 	if heavy {
 		tr.configureVM()
@@ -977,10 +860,6 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 		}
 	} else if tr.pf != nil {
 		tr.vm.StartEngine(0) // idempotent; arms the engine if the old plan never did
-		for p := 0; p < tr.cfg.Devices; p++ {
-			tr.vm.SetPrefetchBudget(p, 0) // 0 clamps back to the engine cap
-		}
-		tr.pf.applyBudgets()
 	}
 	return nil
 }

@@ -89,17 +89,20 @@ func (s VMStats) add(o VMStats) VMStats {
 //     readers first observe an idle word via an atomic load, which
 //     happens-after the settle that published the fields. dirty is
 //     atomic because pin holders (MarkDirty) write it while shard
-//     scans (CleanAhead, victim selection) read it.
+//     scans (CleanAhead, victim selection) read it. devID is atomic
+//     because Ensure and EnsureAsync read it speculatively after that
+//     load, racing a claimer's write, and re-check it once pinned or
+//     under the shard lock.
 //   - last, prev, next: LRU bookkeeping, guarded by the owning
 //     device's shard mutex. A buffer is linked iff its word is
 //     resident-idle or claimed-resident; unlinking happens only under
 //     the shard lock while holding the claim.
 type buffer struct {
 	t     *tensor.Tensor
-	host  []float32 // backing copy; nil until first host materialization
-	dev   []float32 // device copy; nil when not resident
-	devID int
-	dirty atomic.Bool // device copy newer than host copy
+	host  []float32    // backing copy; nil until first host materialization
+	dev   []float32    // device copy; nil when not resident
+	devID atomic.Int32 // resident device; -1 when not resident
+	dirty atomic.Bool  // device copy newer than host copy
 
 	// word is the packed DMA/residency/pin state machine; done points
 	// to the current claim's wakeup channel, closed at settle. done is
@@ -115,7 +118,18 @@ type buffer struct {
 	prev, next *buffer
 }
 
+func newBuffer(t *tensor.Tensor) *buffer {
+	b := &buffer{t: t}
+	b.setDevice(-1)
+	return b
+}
+
 func (b *buffer) floats() int { return int(b.t.Bytes / 4) }
+
+// device returns the device b is resident on, -1 if none.
+func (b *buffer) device() int { return int(b.devID.Load()) }
+
+func (b *buffer) setDevice(dev int) { b.devID.Store(int32(dev)) }
 
 // load atomically observes b's claim word.
 func (b *buffer) load() claimword.Word { return claimword.Word(b.word.Load()) }
@@ -124,7 +138,7 @@ func (b *buffer) load() claimword.Word { return claimword.Word(b.word.Load()) }
 type lruList struct{ head, tail *buffer }
 
 // vmShard is one device's slice of the VM: capacity accounting, LRU
-// order, prefetch budget, DMA queue and movement stats, guarded by
+// order, prefetched bytes, DMA queue and movement stats, guarded by
 // its own mutex so devices never contend with each other on the swap
 // hot path.
 type vmShard struct {
@@ -134,16 +148,10 @@ type vmShard struct {
 	used    int64
 	lru     lruList
 	clock   int64
-	pfBytes int64 // prefetched bytes in flight or resident-unconsumed
-	// budget caps pfBytes for this shard. Seeded from the engine-wide
-	// cap at StartEngine and retuned between steps by the adaptive
-	// prefetch controller (SetPrefetchBudget); never exceeds
-	// VM.budget, so static residency verification can use the
-	// engine-wide cap as the worst case. Guarded by mu.
-	budget int64
-	stats  VMStats
-	queue  []dmaReq
-	work   *sync.Cond // signaled when queue grows or the VM closes
+	pfBytes int64 // prefetched bytes in flight or resident-unconsumed; capped by VM.budget
+	stats   VMStats
+	queue   []dmaReq
+	work    *sync.Cond // signaled when queue grows or the VM closes
 	// syncOuts counts synchronous write-backs (eviction or Host
 	// stalls) on this device; cleanSeen is its value at the last
 	// CleanAhead batch. Clean-ahead only arms after a new stall, so
@@ -157,7 +165,7 @@ type vmShard struct {
 //
 // Locking discipline (DESIGN.md §12): the hot path is sharded by
 // device. Each vmShard's mutex guards only that device's accounting —
-// used bytes, LRU order, prefetch budget, DMA queue and stats.
+// used bytes, LRU order, prefetched bytes, DMA queue and stats.
 // Per-buffer state (residency, pins, claim) lives in a packed atomic
 // claim word driven by CAS (internal/claimword), so demand Ensure,
 // prefetch EnsureAsync, eviction and DMA completion on different
@@ -432,7 +440,7 @@ func (vm *VM) HostAlloc(t *tensor.Tensor) []float32 {
 	defer vm.bufMu.Unlock()
 	b, ok := vm.bufs[t.ID]
 	if !ok {
-		b = &buffer{t: t, devID: -1}
+		b = newBuffer(t)
 		vm.bufs[t.ID] = b
 	}
 	if b.host == nil {
@@ -458,7 +466,7 @@ func (vm *VM) Host(t *tensor.Tensor) ([]float32, error) {
 		// Claim held: dev/host/dirty are ours to read.
 		resident := b.load().Resident()
 		if resident && b.dirty.Load() {
-			dev := b.devID
+			dev := b.device()
 			if err := vm.inject(fault.SwapOut, dev, b.t); err != nil {
 				vm.settle(b, true, 0)
 				return nil, err
@@ -506,14 +514,14 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 			vm.waitSettle(b)
 			continue
 		}
-		if w.Resident() && b.devID == dev {
+		if w.Resident() && b.device() == dev {
 			if !vm.pin(b, w) {
 				continue // word moved under us; re-evaluate
 			}
 			// Pinned: residency and placement are now frozen. Re-check
 			// the placement read that preceded the pin (an eviction and
 			// re-fetch elsewhere could have recycled the word bits).
-			if b.devID != dev {
+			if b.device() != dev {
 				vm.unpin(b)
 				continue
 			}
@@ -536,7 +544,7 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 				// tensor is a dependency bug — fail loudly instead of
 				// corrupting the running task's view.
 				return nil, fmt.Errorf("exec: tensor %s pinned on gpu%d while requested on gpu%d (dependency bug)",
-					t, b.devID, dev)
+					t, b.device(), dev)
 			}
 			if vm.pol.P2P {
 				dst, err := vm.moveP2P(dev, b)
@@ -583,7 +591,7 @@ func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 	}
 	dst := make([]float32, b.floats())
 	b.dev = dst
-	b.devID = dev
+	b.setDevice(dev)
 	vm.commit(b) // reserve done: only the copy remains
 	sh.used += b.t.Bytes
 	vm.lruPush(sh, b)
@@ -634,12 +642,12 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 		vm.uncharge(dsh, bytes)
 		return nil, errRetry
 	}
-	if w := b.load(); !w.Resident() || b.devID == dev {
+	if w := b.load(); !w.Resident() || b.device() == dev {
 		vm.settle(b, w.Resident(), 0)
 		vm.uncharge(dsh, bytes)
 		return nil, errRetry
 	}
-	src, srcDev := b.dev, b.devID
+	src, srcDev := b.dev, b.device()
 	dst := make([]float32, b.floats())
 
 	if err := vm.inject(fault.P2P, dev, b.t); err != nil {
@@ -663,7 +671,7 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	}
 	ssh.mu.Unlock()
 	b.dev = dst
-	b.devID = dev
+	b.setDevice(dev)
 	dsh.mu.Lock()
 	vm.lruPush(dsh, b)
 	dsh.stats.P2PBytes += bytes
@@ -695,7 +703,7 @@ func (vm *VM) bounce(b *buffer) error {
 	if b.host == nil {
 		b.host = make([]float32, b.floats())
 	}
-	dev := b.devID
+	dev := b.device()
 	if err := vm.inject(fault.SwapOut, dev, b.t); err != nil {
 		vm.settle(b, true, 0)
 		return err
@@ -718,7 +726,7 @@ func (vm *VM) bounce(b *buffer) error {
 	}
 	sh.mu.Unlock()
 	b.dev = nil
-	b.devID = -1
+	b.setDevice(-1)
 	vm.settle(b, false, 0)
 	return nil
 }
@@ -730,7 +738,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 		vm.bufMu.Lock()
 		b, ok := vm.bufs[t.ID]
 		if !ok {
-			b = &buffer{t: t, devID: -1}
+			b = newBuffer(t)
 			vm.bufs[t.ID] = b
 		}
 		vm.bufMu.Unlock()
@@ -761,7 +769,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 		}
 		dst := make([]float32, b.floats())
 		b.dev = dst
-		b.devID = dev
+		b.setDevice(dev)
 		b.dirty.Store(true)
 		vm.commit(b)
 		sh.used += t.Bytes
@@ -874,7 +882,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 			sh.pfBytes -= b.t.Bytes
 		}
 		b.dev = nil
-		b.devID = -1
+		b.setDevice(-1)
 		vm.settle(b, false, 0)
 		return nil
 	}
@@ -907,7 +915,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 		sh.pfBytes -= b.t.Bytes
 	}
 	b.dev = nil
-	b.devID = -1
+	b.setDevice(-1)
 	vm.settle(b, false, 0)
 	return nil
 }
@@ -915,7 +923,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 // dropResidency releases b's device residency. Requires the caller to
 // hold b's claim; takes (and releases) the shard lock of b's device.
 func (vm *VM) dropResidency(b *buffer) {
-	sh := vm.shards[b.devID]
+	sh := vm.shards[b.device()]
 	sh.mu.Lock()
 	vm.lruRemove(sh, b)
 	sh.used -= b.t.Bytes
@@ -924,7 +932,7 @@ func (vm *VM) dropResidency(b *buffer) {
 	}
 	sh.mu.Unlock()
 	b.dev = nil
-	b.devID = -1
+	b.setDevice(-1)
 }
 
 // Invalidate discards any device copy without writeback, making the

@@ -633,7 +633,7 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 					return false, progress
 				}
 				a.pending[id] = true
-				m.startMigrate(d, st)
+				m.startMigrate(d, st, a)
 				progress = true
 			} else {
 				// Host bounce, step 1: push it out of the peer; the
@@ -799,6 +799,28 @@ func (m *Manager) startEviction(d *devShard, st *tensor.State) {
 	})
 }
 
+// claimLanded hands a tensor whose transfer a started to a the moment
+// it lands on a's device: it clears a's pending mark and pins st for
+// a before pumpAll gives any other device's acquire a look at it.
+// Otherwise a lower-numbered device's acquire for the same tensor
+// takes it first, and two such acquires bounce it between their
+// devices for ever; and a pending mark left set after the transfer
+// makes a ignore the tensor for good once another acquire has it. As
+// in advance, the pin taken here is owned by a and released when its
+// task calls Release. Requires mu held.
+func (m *Manager) claimLanded(a *acquire, st *tensor.State) {
+	id := st.Tensor.ID
+	delete(a.pending, id)
+	if a.failed || a.pinned[id] {
+		return
+	}
+	if err := st.Pin(); err != nil {
+		m.failAcquire(a, err)
+		return
+	}
+	a.pinned[id] = true
+}
+
 // startSwapIn begins a host→device copy; memory is charged at start.
 // Requires mu held; the DMA-completion closure retakes it on its own
 // goroutine.
@@ -825,7 +847,7 @@ func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire) {
 		d.touch(st)
 		m.setHome(st.Tensor, d.dev.ID)
 		if a != nil {
-			delete(a.pending, st.Tensor.ID)
+			m.claimLanded(a, st)
 		}
 		if m.Hook != nil {
 			m.Hook("swap-in", st.Tensor, d.dev.ID, start, at)
@@ -834,9 +856,10 @@ func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire) {
 	})
 }
 
-// startMigrate begins a p2p device→device move into d. Requires mu
-// held; the copy-completion closure retakes it on its own goroutine.
-func (m *Manager) startMigrate(d *devShard, st *tensor.State) {
+// startMigrate begins a p2p device→device move into d on behalf of
+// a. Requires mu held; the copy-completion closure retakes it on its
+// own goroutine.
+func (m *Manager) startMigrate(d *devShard, st *tensor.State, a *acquire) {
 	src := m.devs[st.Dev]
 	if err := st.BeginMigrate(d.dev.ID); err != nil {
 		m.setFatal(err)
@@ -862,6 +885,7 @@ func (m *Manager) startMigrate(d *devShard, st *tensor.State) {
 		src.subUsed(bytes)
 		d.touch(st)
 		m.setHome(st.Tensor, d.dev.ID)
+		m.claimLanded(a, st)
 		if m.Hook != nil {
 			m.Hook("p2p", st.Tensor, d.dev.ID, start, at)
 		}

@@ -71,10 +71,15 @@ func SetWorkers(n int) {
 }
 
 // ParallelFor runs fn over [0, n) split into contiguous chunks of at
-// least `grain` items fanned across the shared worker pool. The
-// calling goroutine executes the last chunk itself and returns only
-// when every chunk is done. With a size-1 pool, or when n fits in a
-// single grain, fn runs inline with no synchronization at all.
+// least `grain` items fanned across the shared worker pool, at most
+// one chunk per worker. The calling goroutine executes the last chunk
+// itself and returns only when every chunk is done. With a size-1
+// pool, or when n fits in a single grain, fn runs inline with no
+// synchronization at all. n ≤ 0 never calls fn.
+//
+// grain ≤ 0 means no minimum chunk size, exactly as grain 1: the range
+// is split as finely as the pool allows, so fn may run on several
+// goroutines. A caller that needs one inline call passes grain ≥ n.
 //
 // fn must be safe to run concurrently on disjoint ranges.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -39,17 +41,54 @@ func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestParallelForEdgeCases pins the documented meaning of the edge
+// arguments: n ≤ 0 never calls fn, and grain ≤ 0 splits like grain 1
+// (across the pool, covering the range exactly once), while a size-1
+// pool or grain ≥ n keeps one inline [0,n) call. fn runs on pool
+// goroutines, so it only records; every check runs on the test
+// goroutine.
 func TestParallelForEdgeCases(t *testing.T) {
-	ParallelFor(0, 10, func(lo, hi int) { t.Fatal("fn called for n=0") })
-	ran := false
-	ParallelFor(5, 0, func(lo, hi int) {
-		if lo != 0 || hi != 5 {
-			t.Fatalf("bad range [%d,%d)", lo, hi)
+	defer SetWorkers(Workers())
+
+	type span struct{ lo, hi int }
+	record := func(n, grain int) []span {
+		var mu sync.Mutex
+		var got []span
+		ParallelFor(n, grain, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, span{lo, hi})
+			mu.Unlock()
+		})
+		sort.Slice(got, func(i, j int) bool { return got[i].lo < got[j].lo })
+		return got
+	}
+
+	for _, workers := range []int{1, 3} {
+		SetWorkers(workers)
+		for _, n := range []int{0, -4} {
+			if got := record(n, 10); len(got) != 0 {
+				t.Fatalf("workers=%d: fn called for n=%d: %v", workers, n, got)
+			}
 		}
-		ran = true
-	})
-	if !ran {
-		t.Fatal("fn not called")
+		for _, grain := range []int{0, -3, 1} {
+			got := record(5, grain)
+			next := 0
+			for _, s := range got {
+				if s.lo != next || s.hi <= s.lo {
+					t.Fatalf("workers=%d grain=%d: chunks %v do not tile [0,5)", workers, grain, got)
+				}
+				next = s.hi
+			}
+			if next != 5 {
+				t.Fatalf("workers=%d grain=%d: chunks %v do not cover [0,5)", workers, grain, got)
+			}
+			if want := min(workers, 5); len(got) != want {
+				t.Fatalf("workers=%d grain=%d: %d chunks %v, want %d", workers, grain, len(got), got, want)
+			}
+		}
+		if got := record(5, 5); len(got) != 1 || got[0] != (span{0, 5}) {
+			t.Fatalf("workers=%d: grain ≥ n ran %v, want one [0,5) call", workers, got)
+		}
 	}
 }
 

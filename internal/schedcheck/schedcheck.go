@@ -53,13 +53,6 @@ type Topology struct {
 	// half the device capacity when the plan enables prefetch,
 	// mirroring exec.VM.StartEngine's default.
 	PrefetchBudgetBytes int64
-	// AdaptiveBudgetMaxBytes is the largest prefetch budget the
-	// adaptive controller may grow to (exec.VM's engine cap). For
-	// plans with AdaptivePrefetch, residency is verified against the
-	// maximum of this and the static budget — the worst admissible
-	// controller state — rather than whatever budget a run happens to
-	// start at. 0 falls back to the static budget.
-	AdaptiveBudgetMaxBytes int64
 
 	// MaxModelDevices and MaxModelTasks bound the DMA state-machine
 	// exploration: the first MaxModelDevices device queues, the first
@@ -185,17 +178,6 @@ func Check(s *sched.Schedule, topo Topology) *Report {
 // hw.Host, and the dependency graph is acyclic.
 func checkShape(s *sched.Schedule, r *Report) bool {
 	pre := len(r.Violations)
-	if s.Opts.AdaptivePrefetch {
-		// sched.Build normalizes these, but a hand-built schedule can
-		// carry bounds the adaptive controller would violate.
-		if s.Opts.WindowMin < 1 || s.Opts.WindowMin > s.Opts.WindowMax {
-			r.addf("plan", nil, "adaptive prefetch window bounds [%d, %d] invalid (need 1 <= min <= max)",
-				s.Opts.WindowMin, s.Opts.WindowMax)
-		}
-		if !s.Prefetch {
-			r.addf("plan", nil, "AdaptivePrefetch set but the schedule's prefetch flag is off")
-		}
-	}
 	if len(s.Assign) != len(s.Graph.Tasks) {
 		r.addf("plan", nil, "Assign covers %d tasks, graph has %d", len(s.Assign), len(s.Graph.Tasks))
 		return false
@@ -634,12 +616,6 @@ func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 	budget := int64(0)
 	if s.Prefetch {
 		budget = topo.prefetchBudget()
-	}
-	if s.Opts.AdaptivePrefetch && topo.AdaptiveBudgetMaxBytes > budget {
-		// Adaptive plans are verified at the controller's ceiling:
-		// the online retuner may grow the budget up to the engine
-		// cap, and no reachable state may exceed what was verified.
-		budget = topo.AdaptiveBudgetMaxBytes
 	}
 	for d, b := range peak {
 		resident := b + budget

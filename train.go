@@ -66,15 +66,6 @@ type TrainerConfig struct {
 	// negative disables. Prefetch changes only data movement, never
 	// math — weights stay bit-identical at every depth.
 	PrefetchDepth int
-	// AdaptivePrefetch turns the fixed lookahead into an online
-	// controller: each device's window and async-DMA byte budget are
-	// retuned between iterations from that device's own coverage and
-	// demand counters, keyed to the step counter — never wall time —
-	// so adaptive runs stay bit-exact and their resize decision logs
-	// replay identically (see Trainer.AdaptLog). Implies prefetch;
-	// PrefetchDepth is the starting window. The serial executor never
-	// prefetches, so Serial+AdaptivePrefetch is the static reference.
-	AdaptivePrefetch bool
 	// LinkBytesPerSec models host-link bandwidth: each swap/p2p copy
 	// additionally costs bytes/LinkBytesPerSec of wall time on its
 	// DMA lane. 0 disables modeling (transfers cost only memcpy
@@ -108,14 +99,13 @@ type TrainerConfig struct {
 
 // Trainer trains a real model through Harmony's runtime.
 type Trainer struct {
-	inner    *exec.Trainer
-	inj      *fault.Injector
-	widths   []int
-	mbSize   int
-	mbCount  int
-	mode     Mode
-	adaptive bool
-	step     uint64
+	inner   *exec.Trainer
+	inj     *fault.Injector
+	widths  []int
+	mbSize  int
+	mbCount int
+	mode    Mode
+	step    uint64
 }
 
 // FaultEvent is one fault-injection notification: an injected fault
@@ -160,38 +150,36 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		return nil, err
 	}
 	inner, err := exec.NewTrainer(exec.TrainerConfig{
-		Widths:           cfg.Widths,
-		Mode:             mode,
-		Devices:          cfg.Devices,
-		DeviceBytes:      cfg.DeviceBytes,
-		MicrobatchSize:   cfg.BatchSize / mbCount,
-		Microbatches:     mbCount,
-		Optimizer:        opt,
-		LR:               lr,
-		Seed:             cfg.Seed,
-		Options:          schedOpts,
-		Serial:           cfg.Serial,
-		Injector:         inj,
-		MaxRetries:       cfg.MaxRetries,
-		Recover:          cfg.Recover,
-		PrefetchDepth:    cfg.PrefetchDepth,
-		AdaptivePrefetch: cfg.AdaptivePrefetch,
-		LinkBytesPerSec:  cfg.LinkBytesPerSec,
-		NoVerify:         cfg.NoVerify,
-		CommChunks:       cfg.CommChunks,
-		CommBucketBytes:  cfg.CommBucketBytes,
+		Widths:          cfg.Widths,
+		Mode:            mode,
+		Devices:         cfg.Devices,
+		DeviceBytes:     cfg.DeviceBytes,
+		MicrobatchSize:  cfg.BatchSize / mbCount,
+		Microbatches:    mbCount,
+		Optimizer:       opt,
+		LR:              lr,
+		Seed:            cfg.Seed,
+		Options:         schedOpts,
+		Serial:          cfg.Serial,
+		Injector:        inj,
+		MaxRetries:      cfg.MaxRetries,
+		Recover:         cfg.Recover,
+		PrefetchDepth:   cfg.PrefetchDepth,
+		LinkBytesPerSec: cfg.LinkBytesPerSec,
+		NoVerify:        cfg.NoVerify,
+		CommChunks:      cfg.CommChunks,
+		CommBucketBytes: cfg.CommBucketBytes,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Trainer{
-		inner:    inner,
-		inj:      inj,
-		widths:   cfg.Widths,
-		mbSize:   cfg.BatchSize / mbCount,
-		mbCount:  mbCount,
-		mode:     cfg.Mode,
-		adaptive: cfg.AdaptivePrefetch,
+		inner:   inner,
+		inj:     inj,
+		widths:  cfg.Widths,
+		mbSize:  cfg.BatchSize / mbCount,
+		mbCount: mbCount,
+		mode:    cfg.Mode,
 	}, nil
 }
 
@@ -337,58 +325,38 @@ func NewLeNetTrainer(cfg TrainerConfig) (*Trainer, error) {
 		return nil, err
 	}
 	inner, err := exec.NewTrainer(exec.TrainerConfig{
-		Kernels:          kernels,
-		Mode:             mode,
-		Devices:          cfg.Devices,
-		DeviceBytes:      cfg.DeviceBytes,
-		MicrobatchSize:   cfg.BatchSize / mbCount,
-		Microbatches:     mbCount,
-		Optimizer:        opt,
-		LR:               lr,
-		Seed:             cfg.Seed,
-		Options:          schedOpts,
-		Serial:           cfg.Serial,
-		Injector:         inj,
-		MaxRetries:       cfg.MaxRetries,
-		Recover:          cfg.Recover,
-		PrefetchDepth:    cfg.PrefetchDepth,
-		AdaptivePrefetch: cfg.AdaptivePrefetch,
-		LinkBytesPerSec:  cfg.LinkBytesPerSec,
-		NoVerify:         cfg.NoVerify,
-		CommChunks:       cfg.CommChunks,
-		CommBucketBytes:  cfg.CommBucketBytes,
+		Kernels:         kernels,
+		Mode:            mode,
+		Devices:         cfg.Devices,
+		DeviceBytes:     cfg.DeviceBytes,
+		MicrobatchSize:  cfg.BatchSize / mbCount,
+		Microbatches:    mbCount,
+		Optimizer:       opt,
+		LR:              lr,
+		Seed:            cfg.Seed,
+		Options:         schedOpts,
+		Serial:          cfg.Serial,
+		Injector:        inj,
+		MaxRetries:      cfg.MaxRetries,
+		Recover:         cfg.Recover,
+		PrefetchDepth:   cfg.PrefetchDepth,
+		LinkBytesPerSec: cfg.LinkBytesPerSec,
+		NoVerify:        cfg.NoVerify,
+		CommChunks:      cfg.CommChunks,
+		CommBucketBytes: cfg.CommBucketBytes,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Trainer{
-		inner:    inner,
-		inj:      inj,
-		widths:   []int{32 * 32, 10},
-		mbSize:   cfg.BatchSize / mbCount,
-		mbCount:  mbCount,
-		mode:     cfg.Mode,
-		adaptive: cfg.AdaptivePrefetch,
+		inner:   inner,
+		inj:     inj,
+		widths:  []int{32 * 32, 10},
+		mbSize:  cfg.BatchSize / mbCount,
+		mbCount: mbCount,
+		mode:    cfg.Mode,
 	}, nil
 }
-
-// AdaptDecision is one adaptive-prefetch controller decision: which
-// device resized which knob (window or budget) at which step, and why.
-type AdaptDecision = exec.AdaptDecision
-
-// AdaptWindowStats summarizes one device's window trajectory: the
-// extremes it visited and how many resizes the controller took.
-type AdaptWindowStats = exec.AdaptWindowStats
-
-// AdaptLog returns a copy of the adaptive-prefetch decision log.
-// Decisions are keyed to the step counter, so two seeded runs of the
-// same config return deep-equal logs; empty unless AdaptivePrefetch
-// is on and the parallel executor is in use.
-func (t *Trainer) AdaptLog() []AdaptDecision { return t.inner.AdaptLog() }
-
-// AdaptStats returns per-device window extremes and resize counts;
-// nil when the plan is not adaptive.
-func (t *Trainer) AdaptStats() []AdaptWindowStats { return t.inner.AdaptStats() }
 
 // Retune swaps the execution plan between Steps: microbatches changes
 // the per-replica split (BatchSize must stay divisible; the batch
@@ -413,18 +381,12 @@ func (t *Trainer) Retune(microbatches int, toggles *Toggles) error {
 	}
 	if toggles != nil {
 		o := toggles.apply(defaultOptions(t.mode.sched()))
-		if toggles.AdaptivePrefetch == nil {
-			o.AdaptivePrefetch = t.adaptive
-		}
 		req.Options = &o
 	}
 	if err := t.inner.Retune(req); err != nil {
 		return err
 	}
 	t.mbSize, t.mbCount = batch/mbc, mbc
-	if toggles != nil && toggles.AdaptivePrefetch != nil {
-		t.adaptive = *toggles.AdaptivePrefetch
-	}
 	return nil
 }
 
