@@ -62,8 +62,8 @@ test:
 # Tier-1 three times in shuffled order under each GOMAXPROCS in
 # PROCS (default: one P, then every core). Surfaces tests that only
 # fail when kernels really fan out across the worker pool, and order
-# dependence on process-wide state such as nn.SetWorkers. A failing
-# quick.Check in internal/memory logs its seed; HARMONY_QUICK_SEED
+# dependence on process-wide state such as nn.SetWorkers. Every
+# quick.Check logs its seed (internal/quickseed); HARMONY_QUICK_SEED
 # replays it.
 PROCS ?= 1 $(shell nproc)
 test-procs: build

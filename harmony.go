@@ -88,8 +88,11 @@ type Toggles struct {
 	Prefetch            *bool
 	DirtyTracking       *bool
 	DeferBlockedUpdates *bool
-	// LookaheadEviction switches eviction from LRU to
-	// schedule-informed Belady (the scheduler/swapper co-design).
+	// LookaheadEviction switches the simulator's eviction from LRU to
+	// schedule-informed Belady (the scheduler/swapper co-design). It
+	// is the simulator's ablation switch: the real trainer
+	// (NewTrainer) always evicts by next scheduled use, because it
+	// owns its streams, and ignores it.
 	LookaheadEviction *bool
 	// GroupSize bounds the input-batch grouping window (0 = the
 	// whole mini-batch); see the memory–performance tango.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"harmony/internal/models"
+	"harmony/internal/quickseed"
 )
 
 func TestModeStrings(t *testing.T) {
@@ -363,7 +364,7 @@ func TestSimulateFuzzDeterminism(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"harmony/internal/models"
+	"harmony/internal/quickseed"
 )
 
 func uniformParams(R, m, n int) Params {
@@ -70,7 +71,7 @@ func TestCorrectedNeverExceedsIdeal(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,7 +95,7 @@ func TestDominanceOrdering(t *testing.T) {
 		return TotalVolumeIdeal(HarmonyPP, p) <= TotalVolumeIdeal(PPBaseline, p) &&
 			TotalVolumeIdeal(HarmonyDP, p) <= TotalVolumeIdeal(DPBaseline, p)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"harmony/internal/hw"
+	"harmony/internal/quickseed"
 	"harmony/internal/sim"
 )
 
@@ -184,7 +185,7 @@ func TestAllReduceMonotoneInDevices(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 4)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"harmony/internal/quickseed"
 )
 
 func TestBlobsDeterministic(t *testing.T) {
@@ -141,7 +143,7 @@ func TestBlobsFiniteProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

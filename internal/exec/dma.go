@@ -166,21 +166,6 @@ func (vm *VM) waitSettle(b *buffer) {
 	<-*p
 }
 
-// waitableInFlight returns the least-recently-used buffer on sh whose
-// in-flight operation completes autonomously — an async DMA-worker op
-// or a committed sync claim — or nil. Scanning the shard's LRU list
-// (not the buffer map) keeps the choice deterministic for a given
-// residency history and touches only resident buffers. Requires sh.mu
-// held.
-func (vm *VM) waitableInFlight(sh *vmShard) *buffer {
-	for b := sh.lru.head; b != nil; b = b.next {
-		if b.load().Waitable() {
-			return b
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------- DMA engine
 
 // StartEngine launches one DMA worker goroutine per device and allows
@@ -326,10 +311,10 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 }
 
 // CleanAhead asynchronously writes back up to max dirty, idle,
-// unpinned LRU buffers on dev (device copies kept, now clean), so
-// later evictions find pages they can drop instead of stalling on a
-// synchronous write-back. No-op without dirty tracking — dropping
-// clean pages is only legal under that policy.
+// unpinned buffers on dev, in victim order (device copies kept, now
+// clean), so later evictions find pages they can drop instead of
+// stalling on a synchronous write-back. No-op without dirty tracking —
+// dropping clean pages is only legal under that policy.
 func (vm *VM) CleanAhead(dev int, max int) {
 	if !vm.engOn.Load() || vm.closed.Load() || !vm.pol.DirtyTracking {
 		return
@@ -348,21 +333,29 @@ func (vm *VM) CleanAhead(dev int, max int) {
 		return
 	}
 	sh.cleanSeen = sh.syncOuts // re-arm on the next stall
-	issued := 0
-	for b := sh.lru.head; b != nil && issued < max; b = b.next {
-		w := b.load()
-		if w.State() != claimword.Idle || w.Pins() > 0 || !b.dirty.Load() {
-			continue
+	// Clean the pages eviction will pick next, in victim order (a
+	// claimed page leaves the idle set, so each scan finds the next
+	// one), but none nearer than the page the last stall wrote back:
+	// eviction goes farthest first, so a dirty page that ranks below
+	// the last forced write-back is not about to be evicted, and
+	// cleaning it is wasted link traffic.
+	floor := 0
+	if vm.nextUse != nil && sh.lastOut >= 0 {
+		floor = vm.nextUse(dev, sh.lastOut)
+	}
+	for issued := 0; issued < max; issued++ {
+		b, _ := vm.victim(sh, true)
+		if b == nil || vm.nextUse != nil && vm.nextUse(dev, b.t.ID) < floor {
+			return // nothing dirty is as far out as the last stall
 		}
 		if !vm.claim(b, claimword.SwapOut, true, false, claimword.NeedUnpinned) {
-			continue // raced with a pin; skip this page
+			return // raced with a pin
 		}
 		if b.host == nil {
 			b.host = make([]float32, b.floats())
 		}
 		sh.stats.CleanAheads++
 		vm.enqueue(sh, dmaReq{b: b, kind: dmaWriteback, dev: dev})
-		issued++
 	}
 }
 

@@ -12,7 +12,7 @@
 // are accumulated in task-ID order by Trainer.Step — so the parallel
 // executor produces bit-identical weights and losses to the serial
 // one, regardless of interleaving. Only data-movement counters (which
-// depend on LRU timing) may differ.
+// depend on eviction timing) may differ.
 package exec
 
 import (
@@ -339,6 +339,7 @@ func (ex *executor) run(streams [][]streamEntry, parties []int) error {
 // worker drains one device's stream in order, blocking on each entry
 // until the dispatcher releases it.
 func (ex *executor) worker(d int, stream []streamEntry, rdvs []*rendezvous) {
+	pos := 0 // queue position of the next compute entry
 	for i, e := range stream {
 		select {
 		case <-ex.abort:
@@ -361,10 +362,12 @@ func (ex *executor) worker(d int, stream []streamEntry, rdvs []*rendezvous) {
 		case <-ex.abort:
 			return
 		}
+		ex.tr.cursors[d].Store(int64(pos))
+		pos++
 		// With the task released and about to compute, overlap the
 		// future: async swap-ins for the next tasks' inputs and
-		// write-backs of dirty LRU pages ride the DMA lanes while the
-		// kernel runs.
+		// write-backs of the next victims' dirty pages ride the DMA
+		// lanes while the kernel runs.
 		if ex.tr.pf != nil {
 			ex.tr.pf.issue(d, stream, i)
 		}
@@ -420,6 +423,7 @@ func (ex *executor) runSerial() error {
 			q := tr.s.Queues[d]
 			for cursors[d] < len(q) && depsLeft[q[cursors[d]].ID] == 0 {
 				t := q[cursors[d]]
+				tr.cursors[d].Store(int64(cursors[d]))
 				loss, counted, err := tr.runTask(d, t, ex.labels)
 				if err != nil {
 					return fmt.Errorf("exec: %s on gpu%d: %w", t, d, err)

@@ -13,10 +13,10 @@ import (
 // executor already knows each device's task stream, so right before a
 // kernel launches, the device worker asks for the inputs of the next
 // depth compute entries (EnsureAsync — never blocking, never
-// pinning) and for proactive write-backs of dirty LRU pages
-// (CleanAhead), all of which the DMA workers overlap with the kernel.
-// This is the real executor's version of the simulator's
-// runtime.prefetchAhead. The depth is fixed for the life of a plan;
+// pinning) and for proactive write-backs of the next eviction
+// victims' dirty pages (CleanAhead), all of which the DMA workers
+// overlap with the kernel. This is the real executor's version of the
+// simulator's runtime.prefetchAhead. The depth is fixed for the life of a plan;
 // only Trainer.Retune, by adopting a new plan, can turn prefetch on or
 // off between steps.
 type prefetcher struct {

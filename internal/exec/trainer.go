@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"harmony/internal/fault"
@@ -63,12 +64,12 @@ type TrainerConfig struct {
 	// PrefetchDepth controls schedule-driven prefetch in the parallel
 	// executor: before each kernel launches, its device worker issues
 	// async swap-ins for the inputs of the next PrefetchDepth compute
-	// tasks in its stream and proactive write-backs of dirty LRU
-	// pages, all overlapped with the kernel by per-device DMA worker
-	// goroutines. 0 means the default (2) when the schedule's
-	// Prefetch option is on; negative disables prefetch entirely.
-	// The serial reference path never prefetches. Prefetch changes
-	// only data movement, never math: weights and losses stay
+	// tasks in its stream and proactive write-backs of the next
+	// eviction victims' dirty pages, all overlapped with the kernel by
+	// per-device DMA worker goroutines. 0 means the default (2) when
+	// the schedule's Prefetch option is on; negative disables prefetch
+	// entirely. The serial reference path never prefetches. Prefetch
+	// changes only data movement, never math: weights and losses stay
 	// bit-identical at every depth.
 	PrefetchDepth int
 	// LinkBytesPerSec models host-link bandwidth: every swap, p2p
@@ -155,6 +156,13 @@ type Trainer struct {
 	// wall-clock compute/DMA spans (EnableTrace).
 	pf  *prefetcher
 	rec *runRecorder
+
+	// Eviction oracle (nextUse): uses indexes the plan's queues and
+	// cursors[d] is the queue position of virtual device d's current
+	// compute task, advanced by whichever executor runs the step. uses
+	// changes only between steps (indexUses).
+	uses    *sched.UseIndex
+	cursors []atomic.Int64
 
 	// Recovery state. Virtual devices are schedule constructs; devMap
 	// binds virtual device d to the physical device devMap[d] whose
@@ -253,11 +261,13 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		comm:     buildCommPlan(s),
 		devMap:   make([]int, cfg.Devices),
 		alive:    make([]bool, cfg.Devices),
+		cursors:  make([]atomic.Int64, cfg.Devices),
 	}
 	for d := range tr.devMap {
 		tr.devMap[d] = d
 		tr.alive[d] = true
 	}
+	tr.indexUses()
 	if d := tr.prefetchDepth(); d > 0 {
 		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
 	}
@@ -303,6 +313,7 @@ func (tr *Trainer) prefetchDepth() int {
 // link modeling, tracing and — when prefetch is on — the async DMA
 // engine. Shared by NewTrainer, recovery and retune.
 func (tr *Trainer) configureVM() {
+	tr.vm.SetNextUse(tr.nextUse)
 	tr.vm.SetFaultInjection(tr.cfg.Injector, tr.maxRetries(), func() int { return tr.step })
 	tr.vm.SetLinkBandwidth(tr.cfg.LinkBytesPerSec)
 	if tr.rec != nil {
@@ -311,6 +322,37 @@ func (tr *Trainer) configureVM() {
 	if tr.pf != nil {
 		tr.vm.StartEngine(0) // default budget: half the device capacity
 	}
+}
+
+// indexUses rebuilds the eviction oracle's use index for the current
+// plan and rewinds every queue cursor to the start of the step. Called
+// between steps wherever the plan or the device binding changes.
+func (tr *Trainer) indexUses() {
+	tr.uses = tr.s.UseIndex()
+	for d := range tr.cursors {
+		tr.cursors[d].Store(0)
+	}
+}
+
+// nextUse is the VM's eviction oracle: how many queue positions ahead
+// of its cursor tensor id is next used, nearest over the virtual
+// devices devMap binds to physical device dev (sched.NeverUsed when
+// none uses it). The trainer owns its streams, so it always ranks by
+// next use; the schedule's LookaheadEviction toggle only switches the
+// simulator. Runs under a VM shard lock: it only loads cursors and
+// reads the index and devMap, which change only between steps.
+func (tr *Trainer) nextUse(dev, id int) int {
+	best := sched.NeverUsed
+	for d, p := range tr.devMap {
+		if p != dev {
+			continue
+		}
+		cur := int(tr.cursors[d].Load())
+		if n := tr.uses.Next(d, id, cur); n != sched.NeverUsed && n-cur < best {
+			best = n - cur
+		}
+	}
+	return best
 }
 
 // planTopology is the schedcheck preflight topology for a config.
@@ -600,6 +642,7 @@ func (tr *Trainer) recoverFrom(dev int) error {
 	if err := tr.checkPinBudget(tr.s); err != nil {
 		return err
 	}
+	tr.indexUses()
 
 	// Roll back: discard the (possibly mid-iteration) VM wholesale and
 	// restore the last completed step into a fresh one. Rebuilding
@@ -830,6 +873,7 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 	tr.g, tr.s, tr.streams, tr.rdvTasks, tr.parties = g2, s2, streams2, rdvTasks2, parties2
 	tr.comm = buildCommPlan(s2)
 	tr.validated, tr.valErr = true, nil // validateStreams just passed
+	tr.indexUses()
 	if heavy {
 		tr.vm.Close() // step boundary: WaitIdle already drained in-flight DMAs
 		tr.statsBase = tr.statsBase.add(tr.vm.StatsSnapshot())

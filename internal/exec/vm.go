@@ -3,8 +3,9 @@
 // graphs and schedules as the simulator, but on capacity-limited
 // *virtual devices* whose memories form a coherent virtual memory
 // backed by host buffers. Swaps are real memcpys; capacity limits are
-// enforced exactly; eviction is LRU with the same dirty-tracking and
-// p2p policies as the simulated memory manager.
+// enforced exactly; eviction follows the schedule's next use (LRU
+// without an oracle) with the same dirty-tracking and p2p policies as
+// the simulated memory manager.
 //
 // This is the proof that the paper's design trains models end to end:
 // the quickstart and mnist examples push a model whose footprint
@@ -159,6 +160,10 @@ type vmShard struct {
 	// link traffic.
 	syncOuts  int
 	cleanSeen int
+	// lastOut is the tensor ID of the last eviction victim written
+	// back synchronously (-1 before the first); CleanAhead cleans
+	// nothing nearer than it.
+	lastOut int
 }
 
 // VM is a coherent virtual memory across virtual devices.
@@ -207,6 +212,10 @@ type VM struct {
 	// through an injectable Clock keeps recording off the
 	// deterministic path (enforced by the determinism analyzer).
 	clk trace.Clock
+
+	// nextUse, when non-nil, ranks eviction candidates (SetNextUse).
+	// Immutable once the VM is shared between goroutines.
+	nextUse func(dev, id int) int
 
 	// Async DMA engine (StartEngine). engOn flips once when the
 	// engine starts; closed once at Close. pending counts queued or
@@ -259,7 +268,7 @@ func NewVM(devices int, capacityBytes int64, pol memory.Policy) *VM {
 		clk:      trace.WallClock{},
 	}
 	for d := range vm.shards {
-		sh := &vmShard{dev: d, cleanSeen: -1} // first CleanAhead may act before any stall
+		sh := &vmShard{dev: d, cleanSeen: -1, lastOut: -1} // first CleanAhead may act before any stall
 		sh.work = sync.NewCond(&sh.mu)
 		vm.shards[d] = sh
 	}
@@ -277,6 +286,14 @@ func (vm *VM) SetFaultInjection(inj *fault.Injector, maxRetries int, stepFn func
 	vm.maxRetries = maxRetries
 	vm.stepFn = stepFn
 }
+
+// SetNextUse installs the eviction oracle: fn(dev, id) reports how
+// far ahead tensor id is next used on device dev, larger meaning
+// later. Eviction and clean-ahead then pick the farthest-used page
+// first instead of the least recently used one. fn runs under a shard
+// lock, so it must not block or call back into the VM. Call it before
+// the VM is shared between goroutines; nil restores plain LRU.
+func (vm *VM) SetNextUse(fn func(dev, id int) int) { vm.nextUse = fn }
 
 // SetLinkBandwidth models host-link bandwidth for all transfers
 // (0 disables; copies cost only their memcpy time).
@@ -404,29 +421,44 @@ func (vm *VM) touch(sh *vmShard, b *buffer) {
 	vm.lruPush(sh, b)
 }
 
-// victim returns the least-recently-used evictable buffer on sh:
-// resident, idle and unpinned per its claim word. The intrusive list
-// makes this O(1) plus the pinned/claimed prefix. Requires sh.mu
-// held; the word check is advisory — evict re-validates by claiming.
-func (vm *VM) victim(sh *vmShard) *buffer {
-	// Prefetched-but-unused pages are about to be demanded by the
-	// schedule; evicting one turns a hit into a re-fetch. Prefer any
-	// other victim, falling back only when nothing else is evictable.
-	var prefetched *buffer
+// victim scans sh for a page to evict: the buffer — resident, idle
+// and unpinned per its claim word, and dirty when dirtyOnly — whose
+// next scheduled use is farthest away by the nextUse oracle; ties go
+// to the least recently used. Without an oracle every buffer ties, so
+// the scan stops at the first candidate: plain LRU, O(1) plus the
+// pinned/claimed prefix. With one the scan is O(resident).
+//
+// When nothing is evictable, victim returns as inFlight the
+// least-recently-used buffer whose in-flight operation completes
+// autonomously — an async DMA or a committed sync claim — for reserve
+// to wait on. One scan decides both, so an operation that settles
+// mid-scan is seen either in flight or evictable, never neither.
+// Requires sh.mu held; the word checks are advisory — callers
+// re-validate by claiming.
+func (vm *VM) victim(sh *vmShard, dirtyOnly bool) (best, inFlight *buffer) {
+	bestUse := 0
 	for b := sh.lru.head; b != nil; b = b.next {
 		w := b.load()
-		if w.State() != claimword.Idle || w.Pins() > 0 {
-			continue
-		}
-		if w.Prefetched() {
-			if prefetched == nil {
-				prefetched = b
+		if w.State() != claimword.Idle {
+			if inFlight == nil && w.Waitable() {
+				inFlight = b
 			}
 			continue
 		}
-		return b
+		if w.Pins() > 0 || dirtyOnly && !b.dirty.Load() {
+			continue
+		}
+		if vm.nextUse == nil {
+			return b, nil
+		}
+		if use := vm.nextUse(sh.dev, b.t.ID); best == nil || use > bestUse {
+			best, bestUse = b, use
+		}
 	}
-	return prefetched
+	if best != nil {
+		return best, nil
+	}
+	return nil, inFlight
 }
 
 // --------------------------------------------------------- public API
@@ -831,7 +863,7 @@ func (vm *VM) Free(t *tensor.Tensor) error {
 	}
 }
 
-// reserve evicts LRU victims on sh until `bytes` fit. Requires sh.mu
+// reserve evicts victims on sh until `bytes` fit. Requires sh.mu
 // held; may release and reacquire it while write-backs drain or
 // async DMAs complete, so callers must not rely on unrelated shard
 // state across the call. Synchronous uncommitted claims held by other
@@ -843,11 +875,11 @@ func (vm *VM) reserve(sh *vmShard, bytes int64) error {
 		return fmt.Errorf("exec: tensor of %d bytes exceeds device capacity %d", bytes, vm.capacity)
 	}
 	for sh.used+bytes > vm.capacity {
-		victim := vm.victim(sh)
+		victim, inFlight := vm.victim(sh, false)
 		if victim == nil {
-			if w := vm.waitableInFlight(sh); w != nil {
+			if inFlight != nil {
 				sh.mu.Unlock()
-				vm.waitSettle(w)
+				vm.waitSettle(inFlight)
 				sh.mu.Lock()
 				continue
 			}
@@ -909,6 +941,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 	sh.stats.SwapOutBytes += b.t.Bytes
 	sh.stats.SwapOuts++
 	sh.syncOuts++
+	sh.lastOut = b.t.ID
 	vm.lruRemove(sh, b)
 	sh.used -= b.t.Bytes
 	if vm.consumePrefetch(b) {

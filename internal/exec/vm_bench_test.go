@@ -10,17 +10,31 @@ import (
 
 // BenchmarkVMEviction measures demand paging when every Ensure must
 // evict: half the tensors fit, the access pattern cycles, so each hit
-// of the fast path is preceded by a victim selection. With the
-// per-device intrusive LRU list the victim is the list head (O(1));
-// the old implementation scanned the whole buffer map per eviction,
-// so its cost grew linearly with the tensor count. ns/op staying flat
-// as tensors=64 → 16384 is the win this bench documents.
-func BenchmarkVMEviction(b *testing.B) {
+// of the fast path is preceded by a victim selection. Without an
+// eviction oracle every candidate ties, so the victim is the first
+// idle page of the per-device intrusive LRU list (O(1)); the old
+// implementation scanned the whole buffer map per eviction, so its
+// cost grew linearly with the tensor count. ns/op staying flat as
+// tensors=64 → 16384 is the win this bench documents.
+func BenchmarkVMEviction(b *testing.B) { benchEviction(b, nil) }
+
+// BenchmarkVMEvictionRanked is the same sweep with an eviction oracle
+// installed, as the trainer runs: every victim selection now ranks
+// each resident page by next use, an O(resident) scan. The stub
+// oracle ties every page, so the victim and the access pattern match
+// BenchmarkVMEviction and the difference between the two rows is the
+// cost of the ranked scan alone.
+func BenchmarkVMEvictionRanked(b *testing.B) {
+	benchEviction(b, func(dev, id int) int { return 0 })
+}
+
+func benchEviction(b *testing.B, nextUse func(dev, id int) int) {
 	for _, n := range []int{64, 1024, 16384} {
 		b.Run(fmt.Sprintf("tensors=%d", n), func(b *testing.B) {
 			const bytes = 64
 			reg := tensor.NewRegistry()
 			vm := NewVM(1, int64(n)*bytes/2, memory.Policy{DirtyTracking: true})
+			vm.SetNextUse(nextUse)
 			ts := make([]*tensor.Tensor, n)
 			for i := range ts {
 				ts[i] = reg.New(fmt.Sprintf("t%d", i), tensor.Activation, bytes, i, -1)

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"harmony/internal/models"
+	"harmony/internal/quickseed"
 	"harmony/internal/tensor"
 )
 
@@ -223,7 +224,7 @@ func TestBuildProperty(t *testing.T) {
 		_, err = g.CheckAcyclic()
 		return err == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 80)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"harmony/internal/quickseed"
 	"harmony/internal/sim"
 )
 
@@ -203,7 +204,7 @@ func TestTransferNeverBeatsUncontended(t *testing.T) {
 		_, err := eng.Run()
 		return err == nil && okAll
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -257,10 +257,12 @@ type Manager struct {
 	// "drop"; start==end for drops.
 	Hook func(kind string, t *tensor.Tensor, dev hw.DeviceID, start, end sim.Time)
 
-	// NextUse, when non-nil and Policy.Lookahead is set, returns the
-	// queue position of the next task on dev that uses the tensor
-	// (a large value when it is never used again). Installed by the
-	// runtime, which knows the schedule.
+	// NextUse, when non-nil and Policy.Lookahead is set, ranks the
+	// next task on dev that uses the tensor: its queue position, a
+	// use already behind the cursor wrapped to the next iteration,
+	// or a larger value when the queue never uses it
+	// (sched.UseIndex.Next). Installed by the runtime, which knows
+	// the schedule.
 	NextUse func(id int, dev hw.DeviceID) int
 
 	// Fault injection (SetFaultInjection): every DMA the manager

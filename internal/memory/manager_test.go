@@ -3,14 +3,12 @@ package memory
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"harmony/internal/fault"
 	"harmony/internal/hw"
+	"harmony/internal/quickseed"
 	"harmony/internal/sim"
 	"harmony/internal/tensor"
 )
@@ -579,32 +577,12 @@ func randomWorkload(t *testing.T, seed int64, opsRaw uint8, dirty, p2p bool) boo
 	return granted == wanted && m.Err() == nil
 }
 
-// quickSeedEnv names the environment variable that fixes the
-// quick.Check seed, so a failing random run can be replayed exactly.
-const quickSeedEnv = "HARMONY_QUICK_SEED"
-
-// quickRand returns quick.Check's random source: seeded from
-// HARMONY_QUICK_SEED when set, else from the clock. The seed is
-// logged either way.
-func quickRand(t *testing.T) *rand.Rand {
-	t.Helper()
-	seed := time.Now().UnixNano()
-	if v := os.Getenv(quickSeedEnv); v != "" {
-		var err error
-		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			t.Fatalf("%s=%q: %v", quickSeedEnv, v, err)
-		}
-	}
-	t.Logf("quick.Check seed %d (replay with %s=%d)", seed, quickSeedEnv, seed)
-	return rand.New(rand.NewSource(seed))
-}
-
 // Fuzz-style property test over randomWorkload.
 func TestManagerRandomWorkloadInvariants(t *testing.T) {
 	f := func(seed int64, opsRaw uint8, dirty, p2p bool) bool {
 		return randomWorkload(t, seed, opsRaw, dirty, p2p)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: quickRand(t)}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,8 @@ package models
 import (
 	"testing"
 	"testing/quick"
+
+	"harmony/internal/quickseed"
 )
 
 func TestZooMatchesFig1(t *testing.T) {
@@ -155,7 +157,7 @@ func TestTransformerMonotoneInDepth(t *testing.T) {
 			b.FwdFLOPs() > a.FwdFLOPs() &&
 			b.ActivationBytes(1) > a.ActivationBytes(1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"harmony/internal/quickseed"
 )
 
 func almost(a, b, tol float64) bool {
@@ -209,7 +211,7 @@ func TestSoftmaxProperties(t *testing.T) {
 		}
 		return math.Abs(sum) < 1e-5
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +235,7 @@ func TestReLUBackwardMasksProperty(t *testing.T) {
 		}
 		return dx[0] == float32(dyRaw) && grad[0] == float32(xRaw)*float32(dyRaw)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

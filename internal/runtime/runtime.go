@@ -125,8 +125,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r.mgr = memory.New(eng, top, r.g.Reg, cfg.Schedule.MemPolicy)
 	if cfg.Schedule.MemPolicy.Lookahead {
-		r.buildUseIndex()
-		r.mgr.NextUse = r.nextUse
+		// Lookahead (Belady) eviction: rank each tensor by its next use
+		// in the device queue as seen from the dispatch cursor.
+		uses := cfg.Schedule.UseIndex()
+		r.mgr.NextUse = func(id int, dev hw.DeviceID) int {
+			return uses.Next(int(dev), id, r.cursor[dev])
+		}
 	}
 	if cfg.CaptureUsage {
 		r.usage = make([][]trace.UsagePoint, cfg.Schedule.NGPUs)
@@ -189,62 +193,12 @@ type runner struct {
 
 	onIterDone func()
 
-	// useIndex[d][tensorID] lists the ascending queue positions on
-	// device d where the tensor is an input, output or mutation —
-	// the oracle behind lookahead (Belady) eviction.
-	useIndex []map[int][]int
-
 	// usage accumulates resident-bytes timelines when CaptureUsage
 	// is set.
 	usage [][]trace.UsagePoint
 
 	trace *trace.Trace
 	fatal error
-}
-
-// buildUseIndex precomputes each tensor's use positions per device
-// queue.
-func (r *runner) buildUseIndex() {
-	r.useIndex = make([]map[int][]int, r.sch.NGPUs)
-	for d := 0; d < r.sch.NGPUs; d++ {
-		idx := make(map[int][]int)
-		for pos, t := range r.sch.Queues[d] {
-			for _, set := range [][]*tensor.Tensor{t.Inputs, t.Outputs, t.Mutates} {
-				for _, tt := range set {
-					uses := idx[tt.ID]
-					if len(uses) == 0 || uses[len(uses)-1] != pos {
-						idx[tt.ID] = append(uses, pos)
-					}
-				}
-			}
-		}
-		r.useIndex[d] = idx
-	}
-}
-
-// nextUse returns the next queue position on dev that uses the
-// tensor, at or after the device's cursor; a sentinel beyond any
-// queue when unused. Within one iteration this is exact; tensors
-// reused next iteration simply look "far away", which is the right
-// eviction signal anyway.
-func (r *runner) nextUse(id int, dev hw.DeviceID) int {
-	const never = 1 << 30
-	uses := r.useIndex[dev][id]
-	cur := r.cursor[dev]
-	// Binary search for the first use ≥ cursor.
-	lo, hi := 0, len(uses)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if uses[mid] < cur {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(uses) {
-		return never
-	}
-	return uses[lo]
 }
 
 func (r *runner) fail(err error) {

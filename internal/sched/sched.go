@@ -120,9 +120,13 @@ type Options struct {
 	GroupSize int
 
 	// LookaheadEviction selects schedule-informed (Belady-style)
-	// eviction over plain LRU: the memory manager asks the runtime
-	// for each tensor's next scheduled use and evicts the
-	// farthest-future one. The paper's scheduler/swapper co-design.
+	// eviction over plain LRU in the simulator: the memory manager
+	// asks the runtime for each tensor's next scheduled use
+	// (Schedule.UseIndex) and evicts the farthest-future one. The
+	// paper's scheduler/swapper co-design. It is the simulator's
+	// ablation switch; the real trainer (internal/exec) always ranks
+	// victims by next use from the same index, because it owns its
+	// streams, and ignores it.
 	LookaheadEviction bool
 
 	// WaveInterleave runs pipeline waves in 1F1B order (forward wave

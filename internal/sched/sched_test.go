@@ -7,6 +7,7 @@ import (
 	"harmony/internal/graph"
 	"harmony/internal/hw"
 	"harmony/internal/models"
+	"harmony/internal/quickseed"
 )
 
 func dpGraph(R, m, N int) *graph.Graph {
@@ -274,7 +275,7 @@ func TestLinearPartitionProperties(t *testing.T) {
 		}
 		return len(used) == k && bins[0] == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"harmony/internal/quickseed"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -172,7 +174,7 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 		}
 		return mono && end == maxAt
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,7 +210,7 @@ func TestFIFOSerializationProperty(t *testing.T) {
 		}
 		return ok && almostEq(float64(r.BusyTime), float64(total)) && r.Served == uint64(count)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"harmony/internal/quickseed"
 )
 
 func TestRunPreservesOrder(t *testing.T) {
@@ -107,7 +109,7 @@ func TestRunEquivalentToSerial(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

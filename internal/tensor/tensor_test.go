@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"harmony/internal/hw"
+	"harmony/internal/quickseed"
 )
 
 func TestRegistryBasics(t *testing.T) {
@@ -267,7 +268,7 @@ func TestStateMachineInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"harmony/internal/hw"
+	"harmony/internal/quickseed"
 	"harmony/internal/sim"
 )
 
@@ -116,7 +117,7 @@ func TestGanttCoversEveryEvent(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
