@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-self lint-budget test test-procs race bench bench-contend bench-json bench-smoke bench-gate schedcheck fuzz check
+.PHONY: all build vet lint lint-sarif lint-self lint-budget test test-procs race bench bench-contend bench-json bench-smoke bench-gate perf-smoke schedcheck fuzz check
 
 all: check
 
@@ -114,6 +114,18 @@ bench-smoke:
 bench-gate:
 	$(GO) run ./cmd/benchtrainer -steps 4 -out /tmp/BENCH_trainer.new.json
 	$(GO) run ./cmd/benchgate -old BENCH_trainer.json -new /tmp/BENCH_trainer.new.json -row dp1-hostlink -max-regress 0.20 -max-scale-degrade 0.15 -max-comm-overlap-drop 0.05 -max-comm-slowdown 0.10
+
+# Repository benchmark smoke (CI job perf-smoke): the perfbench
+# harness's own tests, then a 2-second untraced swap-dp1 run, which
+# bit-compares its leading losses with the serial reference. A trainer
+# change that breaks that equality makes the run report correct:false,
+# and this target fails.
+perf-smoke:
+	$(GO) -C perfbench test .
+	@out=$$(bash perfbench/run.sh --workload swap-dp1 --seconds 2 --trace 0); code=$$?; \
+	echo "$$out" | tail -n 2; \
+	echo "$$out" | grep -q '"correct":true' || { echo "perf-smoke: swap-dp1 did not report correct:true"; exit 1; }; \
+	exit $$code
 
 # Static plan verification gate (part of `make check`): every clean
 # plan shape must PASS, and each seeded plan bug — rendezvous cycle,

@@ -415,8 +415,7 @@ func (vm *VM) service(req dmaReq) {
 			vm.record(req.dev, trace.Prefetch, "pf "+b.t.String(), start)
 			b.dirty.Store(false)
 			sh.mu.Lock()
-			sh.stats.SwapInBytes += bytes
-			sh.stats.SwapIns++
+			sh.stats.swappedIn(b.t)
 			sh.stats.AsyncDMANanos += busy.Nanoseconds()
 			sh.mu.Unlock()
 			vm.settle(b, true, 0) // stays prefetched until the demand hit
@@ -439,8 +438,7 @@ func (vm *VM) service(req dmaReq) {
 			vm.record(req.dev, trace.SwapOut, "cl "+b.t.String(), start)
 			b.dirty.Store(false)
 			sh.mu.Lock()
-			sh.stats.SwapOutBytes += bytes
-			sh.stats.SwapOuts++
+			sh.stats.swappedOut(b.t)
 			sh.stats.AsyncDMANanos += busy.Nanoseconds()
 			sh.mu.Unlock()
 			vm.settle(b, true, 0)

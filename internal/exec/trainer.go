@@ -273,15 +273,11 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	}
 	tr.configureVM()
 	// Persistent state: identical weights in every replica, zero
-	// gradients and optimizer state.
+	// optimizer state.
+	tr.allocState()
 	for r := 0; r < replicas; r++ {
 		for l, layer := range tr.layers {
-			w := tr.vm.HostAlloc(g.W[r][l])
-			nn.InitKernel(layer, w, cfg.Seed+uint64(l)*7919)
-			tr.vm.HostAlloc(g.DW[r][l])
-			if g.K[r][l].Bytes > 0 {
-				tr.vm.HostAlloc(g.K[r][l])
-			}
+			nn.InitKernel(layer, tr.vm.HostAlloc(g.W[r][l]), cfg.Seed+uint64(l)*7919)
 		}
 	}
 	if cfg.Recover {
@@ -290,6 +286,21 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		}
 	}
 	return tr, nil
+}
+
+// allocState materializes the persistent state (W, K) of every
+// replica, zero-filled on the host, in a fresh VM. Weight gradients
+// are not persistent: each step's first backward allocates dW on its
+// device and the update frees it (gradBuffer).
+func (tr *Trainer) allocState() {
+	for r := 0; r < tr.g.Cfg.Replicas; r++ {
+		for l := range tr.layers {
+			tr.vm.HostAlloc(tr.g.W[r][l])
+			if tr.g.K[r][l].Bytes > 0 {
+				tr.vm.HostAlloc(tr.g.K[r][l])
+			}
+		}
+	}
 }
 
 // prefetchDepth resolves the configured lookahead: 0 means the
@@ -593,8 +604,9 @@ func (tr *Trainer) runStep(inputs [][][]float32, labels [][][]int) (float32, err
 // the exec/checkpoint format; recoverFrom restores it after a fatal
 // fault. Taken at construction and after every completed step, so the
 // rollback target is always the last completed weight update. Safe
-// because optimizers zero the gradient buffers when they apply them:
-// at a step boundary the full persistent state is (W, K, step).
+// because weight gradients are step-local: every update frees its dW
+// and the next step's first backward allocates it afresh, so at a step
+// boundary the full persistent state is (W, K, step).
 func (tr *Trainer) snapshot() error {
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
@@ -653,15 +665,7 @@ func (tr *Trainer) recoverFrom(dev int) error {
 	tr.statsBase = tr.statsBase.add(tr.vm.StatsSnapshot())
 	tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, tr.s.MemPolicy)
 	tr.configureVM()
-	for r := 0; r < tr.g.Cfg.Replicas; r++ {
-		for l := range tr.layers {
-			tr.vm.HostAlloc(tr.g.W[r][l])
-			tr.vm.HostAlloc(tr.g.DW[r][l])
-			if tr.g.K[r][l].Bytes > 0 {
-				tr.vm.HostAlloc(tr.g.K[r][l])
-			}
-		}
-	}
+	tr.allocState()
 	if err := tr.Load(bytes.NewReader(tr.snap)); err != nil {
 		return fmt.Errorf("exec: rollback: %w", err)
 	}
@@ -885,15 +889,7 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 	}
 	if heavy {
 		tr.configureVM()
-		for r := 0; r < tr.g.Cfg.Replicas; r++ {
-			for l := range tr.layers {
-				tr.vm.HostAlloc(tr.g.W[r][l])
-				tr.vm.HostAlloc(tr.g.DW[r][l])
-				if tr.g.K[r][l].Bytes > 0 {
-					tr.vm.HostAlloc(tr.g.K[r][l])
-				}
-			}
-		}
+		tr.allocState()
 		if err := tr.Load(bytes.NewReader(snap)); err != nil {
 			return fmt.Errorf("exec: retune state restore: %w", err)
 		}
@@ -957,7 +953,7 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 		if err != nil {
 			return 0, false, err
 		}
-		dw, err := tr.vm.Ensure(dev, g.DW[t.Replica][t.Layer])
+		dw, err := tr.gradBuffer(dev, g.DW[t.Replica][t.Layer])
 		if err != nil {
 			return 0, false, err
 		}
@@ -1021,8 +1017,9 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 	case graph.Update:
 		layer := tr.layers[t.Layer]
 		if layer.ParamCount() == 0 {
-			// Parameter-free layers (pooling) have nothing to update.
-			return 0, false, nil
+			// Parameter-free layers (pooling) have nothing to update;
+			// their empty dW is step-local all the same.
+			return 0, false, tr.vm.Free(g.DW[t.Replica][t.Layer])
 		}
 		w, err := tr.vm.Ensure(dev, g.W[t.Replica][t.Layer])
 		if err != nil {
@@ -1051,17 +1048,31 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 		if err := tr.vm.MarkDirty(g.W[t.Replica][t.Layer]); err != nil {
 			return 0, false, err
 		}
-		if err := tr.vm.MarkDirty(g.DW[t.Replica][t.Layer]); err != nil {
-			return 0, false, err
-		}
 		if err := tr.unpin(g.W[t.Replica][t.Layer], g.DW[t.Replica][t.Layer]); err != nil {
 			return 0, false, err
 		}
-		return 0, false, nil
+		// The applied gradient is dead until the next step's first
+		// backward allocates it afresh: free it rather than keep a
+		// reset buffer that eviction would write back and the next
+		// backward would swap in.
+		return 0, false, tr.vm.Free(g.DW[t.Replica][t.Layer])
 
 	default:
 		return 0, false, fmt.Errorf("exec: unexpected task kind %v in queue", t.Kind)
 	}
+}
+
+// gradBuffer pins a backward task's weight-gradient buffer on dev.
+// Gradients are step-local: a step's first backward of a layer
+// allocates dW zero-filled on the device, with no link traffic, and
+// later microbatches accumulate into it wherever the VM has put it
+// since. Only this replica's stream touches its dW before the
+// collective, so the lookup cannot race an Alloc or Free of it.
+func (tr *Trainer) gradBuffer(dev int, t *tensor.Tensor) ([]float32, error) {
+	if _, ok := tr.vm.lookup(t.ID); !ok {
+		return tr.vm.Alloc(dev, t)
+	}
+	return tr.vm.Ensure(dev, t)
 }
 
 // runCollective executes a collective task. AllReduce averages the

@@ -54,6 +54,11 @@ type VMStats struct {
 	PrefetchHits   int
 	CleanAheads    int
 	AsyncDMANanos  int64
+	// SwapInBytesByKind and SwapOutBytesByKind split SwapInBytes and
+	// SwapOutBytes by tensor.Kind, so a step's link traffic reads as
+	// weights, gradients, optimizer state and activations.
+	SwapInBytesByKind  [tensor.NumKinds]int64
+	SwapOutBytesByKind [tensor.NumKinds]int64
 }
 
 // add accumulates counters (used to carry stats across the VM rebuild
@@ -73,7 +78,27 @@ func (s VMStats) add(o VMStats) VMStats {
 	s.PrefetchHits += o.PrefetchHits
 	s.CleanAheads += o.CleanAheads
 	s.AsyncDMANanos += o.AsyncDMANanos
+	for k := range s.SwapInBytesByKind {
+		s.SwapInBytesByKind[k] += o.SwapInBytesByKind[k]
+		s.SwapOutBytesByKind[k] += o.SwapOutBytesByKind[k]
+	}
 	return s
+}
+
+// swappedIn counts one host-to-device copy of t. Requires the owning
+// shard's lock.
+func (s *VMStats) swappedIn(t *tensor.Tensor) {
+	s.SwapInBytes += t.Bytes
+	s.SwapIns++
+	s.SwapInBytesByKind[t.Kind] += t.Bytes
+}
+
+// swappedOut counts one device-to-host write-back of t. Requires the
+// owning shard's lock.
+func (s *VMStats) swappedOut(t *tensor.Tensor) {
+	s.SwapOutBytes += t.Bytes
+	s.SwapOuts++
+	s.SwapOutBytesByKind[t.Kind] += t.Bytes
 }
 
 // buffer is one tensor's VM state. Concurrency splits its fields into
@@ -510,8 +535,7 @@ func (vm *VM) Host(t *tensor.Tensor) ([]float32, error) {
 			b.dirty.Store(false)
 			sh := vm.shards[dev]
 			sh.mu.Lock()
-			sh.stats.SwapOutBytes += b.t.Bytes
-			sh.stats.SwapOuts++
+			sh.stats.swappedOut(b.t)
 			sh.syncOuts++
 			sh.mu.Unlock()
 		}
@@ -641,8 +665,7 @@ func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 
 	b.dirty.Store(false)
 	sh.mu.Lock()
-	sh.stats.SwapInBytes += b.t.Bytes
-	sh.stats.SwapIns++
+	sh.stats.swappedIn(b.t)
 	sh.mu.Unlock()
 	vm.settle(b, true, +1)
 	return dst, nil
@@ -748,8 +771,7 @@ func (vm *VM) bounce(b *buffer) error {
 	b.dirty.Store(false)
 	sh := vm.shards[dev]
 	sh.mu.Lock()
-	sh.stats.SwapOutBytes += b.t.Bytes
-	sh.stats.SwapOuts++
+	sh.stats.swappedOut(b.t)
 	sh.syncOuts++
 	vm.lruRemove(sh, b)
 	sh.used -= b.t.Bytes
@@ -938,8 +960,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 		return err
 	}
 	b.dirty.Store(false)
-	sh.stats.SwapOutBytes += b.t.Bytes
-	sh.stats.SwapOuts++
+	sh.stats.swappedOut(b.t)
 	sh.syncOuts++
 	sh.lastOut = b.t.ID
 	vm.lruRemove(sh, b)
